@@ -30,20 +30,21 @@ bench-json:
 	$(GO) run ./cmd/evolve-bench -json > BENCH_10.json
 
 # bench-shard is the sharded-kernel regression smoke at CI scale: the
-# first three points of the Figure 6 ladder under shard counts {1, 4},
-# plus the determinism suite that pins byte-identical replay across
-# shard, worker and batching modes (the -race variant of the suite runs
-# in the race job).
+# first three points of the Figure 6 ladder under shard counts {1, 4}
+# (every shard count runs the same phase code), plus the determinism
+# suite that pins byte-identical replay across shard and worker counts
+# (the -race variant of the suite runs in the race job).
 bench-shard:
 	$(GO) run ./cmd/evolve-bench -json -quick -scale-points 3 -shards 4 -only figure6
 	$(GO) test ./internal/harness -run 'TestSharded' -count 1 -v
 	$(GO) test ./internal/sim -run 'TestCoordinator|TestBatched|TestProcessEventsAt' -count 1
 
 # bench-control is the control-plane scaling regression smoke at CI
-# scale: the quick Figure 12 ladder under worker counts {1, 4}, plus
-# the suites that pin byte-identical replay across control-plane worker
-# counts and the serial path's allocation budget (the -race variant of
-# the determinism suite runs in the race job).
+# scale: the quick Figure 12 ladder under worker counts {1, 4} (every
+# worker count runs the same evaluate/apply step), plus the suites that
+# pin byte-identical replay across control-plane worker counts and the
+# 1-worker step's allocation budget (the -race variant of the
+# determinism suite runs in the race job).
 bench-control:
 	$(GO) run ./cmd/evolve-bench -json -quick -ctrl-workers 4 -only figure12
 	$(GO) test ./internal/harness -run 'TestCtrlWorkers|TestFigure12' -count 1 -v
@@ -51,15 +52,18 @@ bench-control:
 	$(GO) test ./internal/sched -run 'TestScheduleBatch|TestDisjointCandidates' -count 1
 	$(GO) test ./internal/cluster -run 'TestDrainBatched' -count 1
 
-# bench-compare guards the committed scale trajectory: the current
+# bench-compare guards the committed scale trajectory: the newest
 # record's kernel rows must not regress ms_per_tick or shard speedup —
 # nor its control-plane rows ms_per_period or worker speedup — by more
-# than 15% against the previous PR's record on matching points. Serial
+# than 15% against the record before it on matching points. Serial
 # rows fail on absolute ms; parallel rows fail when both ms and
 # within-record speedup regress (the checks disagreeing means the
 # shared serial baseline moved, not the row — see cmd/bench-compare).
+# The pair is the two highest BENCH_<n>.json by numeric suffix; a plain
+# name sort would order BENCH_10 before BENCH_2.
+BENCH_PAIR = $(shell ls BENCH_*.json | sort -t_ -k2 -n | tail -n 2)
 bench-compare:
-	$(GO) run ./cmd/bench-compare -old BENCH_7.json -new BENCH_10.json
+	$(GO) run ./cmd/bench-compare -old $(word 1,$(BENCH_PAIR)) -new $(word 2,$(BENCH_PAIR))
 
 # bench-sched is the scheduler hot-path regression smoke: the sched
 # benchmarks at a fixed iteration count (so -benchtime noise cannot mask

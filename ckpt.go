@@ -194,12 +194,9 @@ func (cl *Cluster) Checkpoint(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	co := cl.c.Coordinator()
-	var coState sim.CoordinatorState
-	if co != nil {
-		if coState, err = co.State(); err != nil {
-			return err
-		}
+	coState, err := cl.c.Coordinator().State()
+	if err != nil {
+		return err
 	}
 	cw := ckpt.NewWriter(w)
 	cw.Begin("evolve")
@@ -216,18 +213,15 @@ func (cl *Cluster) Checkpoint(w io.Writer) error {
 		cw.Str(t.Tag.Kind)
 		cw.Str(t.Tag.Arg)
 	}
-	cw.Bool(co != nil)
-	if co != nil {
-		cw.U64(coState.Rounds)
-		cw.U64(coState.ParRounds)
-		cw.U64(coState.RoundsMark)
-		cw.U64(coState.ParMark)
-		cw.Int(len(coState.Shards))
-		for _, s := range coState.Shards {
-			cw.Dur(s.Now)
-			cw.U64(s.Seq)
-			cw.U64(s.Nsteps)
-		}
+	cw.U64(coState.Rounds)
+	cw.U64(coState.ParRounds)
+	cw.U64(coState.RoundsMark)
+	cw.U64(coState.ParMark)
+	cw.Int(len(coState.Shards))
+	for _, s := range coState.Shards {
+		cw.Dur(s.Now)
+		cw.U64(s.Seq)
+		cw.U64(s.Nsteps)
 	}
 	cl.runner.CkptSave(cw)
 	cl.queue.CkptSave(cw)
@@ -297,14 +291,11 @@ func (cl *Cluster) Restore(r io.Reader) error {
 		}
 	}
 	co := cl.c.Coordinator()
-	var coState sim.CoordinatorState
-	if coPresent := cr.Bool(); coPresent != (co != nil) {
-		if cr.Err() != nil {
-			return cr.Err()
-		}
-		return fmt.Errorf("evolve: checkpoint sharding does not match this cluster's Shards option")
-	}
-	if co != nil {
+	// Version 1 wrote the coordinator section behind a presence flag,
+	// false for 1-shard worlds: their shard clock restarts at the
+	// checkpoint's instant with fresh counters.
+	coState := sim.CoordinatorState{Shards: []sim.ShardClock{{Now: now}}}
+	if cr.Version() >= 2 || cr.Bool() {
 		coState.Rounds = cr.U64()
 		coState.ParRounds = cr.U64()
 		coState.RoundsMark = cr.U64()
@@ -385,10 +376,8 @@ func (cl *Cluster) Restore(r io.Reader) error {
 		return err
 	}
 	cl.eng.RNG().Burn(draws)
-	if co != nil {
-		if err := co.RestoreState(coState); err != nil {
-			return err
-		}
+	if err := co.RestoreState(coState); err != nil {
+		return err
 	}
 	cl.lastCkpt = raw.Bytes()
 	return cl.runErr

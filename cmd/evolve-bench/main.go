@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -337,7 +338,8 @@ func main() {
 }
 
 // describe extracts the headline numbers of one rendered item: row count
-// for tables, per-column series means for figures.
+// for tables, per-column series means over the present (non-NaN) points
+// for figures.
 func describe(it item, res renderable, wall time.Duration) report {
 	rep := report{ID: it.id, Kind: it.kind, WallMS: float64(wall.Microseconds()) / 1000}
 	switch v := res.(type) {
@@ -347,14 +349,12 @@ func describe(it item, res renderable, wall time.Duration) report {
 		rep.Points = len(v.X)
 		rep.Headline = make(map[string]float64, len(v.Columns))
 		for i, col := range v.Columns {
-			if i >= len(v.Series) || len(v.Series[i]) == 0 {
+			if i >= len(v.Series) {
 				continue
 			}
-			sum := 0.0
-			for _, y := range v.Series[i] {
-				sum += y
+			if m := v.Mean(i); !math.IsNaN(m) {
+				rep.Headline["mean:"+col] = m
 			}
-			rep.Headline["mean:"+col] = sum / float64(len(v.Series[i]))
 		}
 	}
 	return rep

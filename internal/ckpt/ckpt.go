@@ -25,8 +25,16 @@ import (
 // Magic identifies an EVOLVE checkpoint stream.
 const Magic = "EVCK"
 
-// Version is the checkpoint format version; Restore rejects mismatches.
-const Version uint32 = 1
+// Version is the checkpoint format version the Writer emits. Readers
+// accept MinVersion through Version and expose the stream's version
+// (Reader.Version) so section decoders can migrate older layouts.
+//
+//	1  coordinator and dense hot-state sections only in sharded worlds
+//	2  every world carries them (the kernel always runs on shards)
+const Version uint32 = 2
+
+// MinVersion is the oldest format version Readers still decode.
+const MinVersion uint32 = 1
 
 // Writer serialises primitives to an underlying stream, checksumming as
 // it goes. Errors are sticky: the first write error latches and every
@@ -153,10 +161,11 @@ func (w *Writer) Close() error {
 // Reader deserialises a stream written by Writer, verifying the header
 // up front and the checksum via Close. Like Writer, errors latch.
 type Reader struct {
-	r   *bufio.Reader
-	sum hash64
-	err error
-	buf [8]byte
+	r       *bufio.Reader
+	sum     hash64
+	err     error
+	buf     [8]byte
+	version uint32
 }
 
 // NewReader verifies the header and returns a Reader.
@@ -172,11 +181,15 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if _, err := io.ReadFull(cr.r, cr.buf[:4]); err != nil {
 		return nil, fmt.Errorf("ckpt: reading version: %w", err)
 	}
-	if v := binary.LittleEndian.Uint32(cr.buf[:4]); v != Version {
-		return nil, fmt.Errorf("ckpt: format version %d (this build reads %d)", v, Version)
+	cr.version = binary.LittleEndian.Uint32(cr.buf[:4])
+	if cr.version < MinVersion || cr.version > Version {
+		return nil, fmt.Errorf("ckpt: format version %d (this build reads %d-%d)", cr.version, MinVersion, Version)
 	}
 	return cr, nil
 }
+
+// Version returns the format version of the stream being read.
+func (r *Reader) Version() uint32 { return r.version }
 
 func (r *Reader) read(n int) uint64 {
 	if r.err != nil {

@@ -128,6 +128,18 @@ func TestBadMagicAndVersion(t *testing.T) {
 	if _, err := NewReader(bytes.NewReader(b)); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("want version error, got %v", err)
 	}
+	b[4] = byte(MinVersion) // oldest still-readable version
+	r, err := NewReader(bytes.NewReader(b))
+	if err != nil {
+		t.Fatalf("version %d rejected: %v", MinVersion, err)
+	}
+	if r.Version() != MinVersion {
+		t.Errorf("Version() = %d, want %d", r.Version(), MinVersion)
+	}
+	b[4] = byte(MinVersion - 1)
+	if _, err := NewReader(bytes.NewReader(b)); err == nil {
+		t.Fatalf("version %d accepted", MinVersion-1)
+	}
 }
 
 func TestTruncation(t *testing.T) {

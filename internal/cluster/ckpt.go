@@ -398,10 +398,7 @@ func (c *Cluster) CkptSave(w *ckpt.Writer) {
 	w.Int(c.lastTick.SamplesDropped)
 	w.Int(c.lastTick.SamplesStale)
 
-	w.Bool(c.hot != nil)
-	if c.hot != nil {
-		w.Dur(c.hot.lastPhaseAt)
-	}
+	w.Dur(c.hot.lastPhaseAt)
 
 	c.met.CkptSave(w)
 	w.U64(c.store.Version())
@@ -547,15 +544,12 @@ func (c *Cluster) CkptLoad(r *ckpt.Reader, reattach func(p *PodObject) (func(str
 		SamplesStale:   r.Int(),
 	}
 
-	if r.Bool() {
-		if c.hot == nil {
-			return fmt.Errorf("cluster: ckpt: checkpoint is sharded, this world is not")
-		}
+	// Version 1 wrote the hot-state clock behind a presence flag, false
+	// for 1-shard worlds (whose pod usage was always materialised).
+	if r.Version() >= 2 || r.Bool() {
 		c.hot.lastPhaseAt = r.Dur()
-		c.hot.usageStale = false
-	} else if c.hot != nil {
-		return fmt.Errorf("cluster: ckpt: checkpoint is unsharded, this world is sharded")
 	}
+	c.hot.usageStale = false
 
 	if err := c.met.CkptLoad(r); err != nil {
 		return err

@@ -36,8 +36,8 @@ type Config struct {
 	ScoreThreshold int
 	// Shards splits the tick's per-node and per-app phases across this
 	// many shard engines driven by a sim.Coordinator under the primary
-	// engine's clock. 0 or 1 keeps the single-engine path. Entities are
-	// assigned to shards by stable name hash, and all cross-shard
+	// engine's clock; 0 or 1 runs the same phases on one shard. Entities
+	// are assigned to shards by stable name hash, and all cross-shard
 	// effects are applied at phase barriers in canonical entity order,
 	// so results are byte-identical for every shard count.
 	Shards int
@@ -45,18 +45,12 @@ type Config struct {
 	// concurrently on the shared worker pool (0 = min(Shards, GOMAXPROCS);
 	// 1 keeps rounds serial). Results are identical either way.
 	ShardWorkers int
-	// BatchedRounds lets each shard drain all its events at the shared
-	// timestamp in one coordinator round (sim.Engine.ProcessEventsAt)
-	// instead of one event per round, collapsing barrier count per tick
-	// from O(events) to O(1). The cluster's phase discipline posts no
-	// cross-shard mail mid-timestamp, so results are byte-identical in
-	// either mode; off reproduces the PR 6 round protocol exactly.
-	BatchedRounds bool
-	// DrainWorkers opts the pending-backlog scheduling drain into batched
-	// placement: pods whose feasibility-index candidate prefixes are
-	// provably disjoint are scored concurrently on the shared worker pool
-	// and committed in queue order. 0 or 1 keeps the exact serial per-pod
-	// loop. Placements are byte-identical either way (see sched.ScheduleBatch).
+	// DrainWorkers sizes the batched placement of the pending-backlog
+	// scheduling drain: pods whose feasibility-index candidate prefixes
+	// are provably disjoint are scored concurrently on the shared worker
+	// pool and committed in queue order. 0 or 1 keeps the serial per-pod
+	// loop. Placements are byte-identical either way (see
+	// sched.ScheduleBatch).
 	DrainWorkers int
 }
 
@@ -67,7 +61,6 @@ func DefaultConfig() Config {
 		Interference:     true,
 		SchedulerPolicy:  sched.PolicySpread,
 		MeasurementNoise: 0.03,
-		BatchedRounds:    true,
 	}
 }
 
@@ -130,10 +123,9 @@ type appState struct {
 	tickStale  int // SamplesStale owed to lastTick
 	chaosStats chaos.Stats
 
-	// Sharded-kernel hot state (hotstate.go): hotIdx is the app's index
-	// into the dense appUsage array, rc the cached ready-replica
-	// aggregate, stamps the deferred registry version stamps owed to the
-	// flush. Unused on the single-engine path.
+	// Dense hot state (hotstate.go): hotIdx is the app's index into the
+	// dense appUsage array, rc the cached ready-replica aggregate, stamps
+	// the deferred registry version stamps owed to the flush.
 	hotIdx int32
 	rc     appRunCache
 	stamps int
@@ -177,16 +169,15 @@ type Cluster struct {
 	// place on every bind, drained in place on node failure.
 	snap         *sched.Snapshot
 	scratchQueue []*PodObject
-	scratchRun   []*PodObject
-	nodeUpd      []registry.Object // sharded path: buffered node updates
+	nodeUpd      []registry.Object // staging path: buffered node updates
 	batchPods    []sched.PodInfo   // drain batching: current batch's views
 	batchRes     []sched.BatchResult
 	h            *clusterHandles
 
-	// Sharded kernel (nil / empty on the single-engine path). co drives
-	// the shard engines under the primary clock; shards holds each
-	// shard's partition of nodes and apps (see shard.go); hot is the
-	// dense SoA mirror the quiescent-store tick runs on (hotstate.go).
+	// Sharded kernel (one shard when Config.Shards <= 1). co drives the
+	// shard engines under the primary clock; shards holds each shard's
+	// partition of nodes and apps (see shard.go); hot is the dense SoA
+	// mirror the quiescent-store tick runs on (hotstate.go).
 	co     *sim.Coordinator
 	shards []*shardState
 	hot    *hotState
@@ -257,40 +248,30 @@ func New(eng *sim.Engine, cfg Config) *Cluster {
 
 		pendingApply: make(map[string]delayedApply),
 	}
-	if cfg.Shards > 1 {
-		c.initShards(cfg.Shards, cfg.ShardWorkers)
-	}
+	c.initShards(max(cfg.Shards, 1), cfg.ShardWorkers)
 	return c
 }
 
-// Coordinator returns the shard coordinator, or nil on the
-// single-engine path.
+// Coordinator returns the shard coordinator (one shard when
+// Config.Shards <= 1).
 func (c *Cluster) Coordinator() *sim.Coordinator { return c.co }
 
 // EnablePhaseTiming switches on the per-tick phase breakdown and
-// returns the accumulator the tick records into (see internal/perf).
-// On the sharded path the coordinator's barrier/mailbox timers are
-// enabled too. Call before Run; the breakdown can be Reset between
-// measurement windows.
+// returns the accumulator the tick records into (see internal/perf),
+// together with the coordinator's barrier/mailbox timers. Call before
+// Run; the breakdown can be Reset between measurement windows.
 func (c *Cluster) EnablePhaseTiming() *perf.PhaseBreakdown {
-	n := 1
-	if c.co != nil {
-		n = c.co.NumShards()
-		c.co.SetTiming(true)
-	}
-	c.phases = perf.NewPhaseBreakdown(n)
+	c.co.SetTiming(true)
+	c.phases = perf.NewPhaseBreakdown(c.co.NumShards())
 	c.phasePrev = [perf.NumPhases]int64{}
 	return c.phases
 }
 
-// Run advances the simulation until the shared clock reaches the
-// absolute time until: through the coordinator when sharded, directly
-// on the engine otherwise. It returns the number of events executed.
+// Run advances the simulation, primary and shard engines together,
+// until the shared clock reaches the absolute time until. It returns
+// the number of events executed.
 func (c *Cluster) Run(until time.Duration) uint64 {
-	if c.co != nil {
-		return c.co.Run(until)
-	}
-	return c.eng.Run(until)
+	return c.co.Run(until)
 }
 
 // Tracer returns the cluster's decision tracer (the shared no-op tracer
@@ -466,10 +447,9 @@ func (c *Cluster) podsOnNode(node string) []*PodObject {
 	return c.byNode[node]
 }
 
-// Pods returns all live pods sorted by name. On the dense sharded path
-// per-pod usage is materialised lazily; this accessor syncs it first,
-// so callers always see the same usage the serial tick would have
-// written.
+// Pods returns all live pods sorted by name. On the dense path per-pod
+// usage is materialised lazily; this accessor syncs it first, so
+// callers always see the usage the last tick evaluated.
 func (c *Cluster) Pods() []*PodObject {
 	c.syncPodUsage()
 	return append([]*PodObject(nil), c.byName...)

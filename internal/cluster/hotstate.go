@@ -9,7 +9,7 @@ import (
 	"evolve/internal/resource"
 )
 
-// Cache-dense hot state for the sharded tick.
+// Cache-dense hot state for the tick.
 //
 // The P1→P2→P3 walk used to chase *Pod/*Node pointers for every replica
 // every tick: P2 summed requests and looked node slowdowns up through
@@ -19,7 +19,7 @@ import (
 // degradation from 10k→1M pods in BENCH_6.
 //
 // When the registry is quiescent (no live watchers — the untraced bench
-// and production configuration), the sharded tick instead runs on dense
+// and production configuration), the tick instead runs on dense
 // per-cluster arrays that ARE the authoritative hot-loop representation:
 //
 //	hot.slow[slot]      P1 result per node, indexed by dense node slot
@@ -32,8 +32,8 @@ import (
 //	                    pointers, in byNode order
 //
 // The caches are exact, not approximate: they hold the same addends the
-// serial loop sums, in the same order, so every float result is
-// bit-identical to the single-engine tick. They are invalidated at the
+// staging path's pointer walk (phaseApp, phaseNodeUsage) sums, in the
+// same order, so every float result is bit-identical to it. They are invalidated at the
 // topology mutation points (index.go hooks, resize, eviction) and
 // rebuilt lazily at the next phase; readiness transitions need no hook
 // because each cache carries the earliest ReadyAt that could change its
@@ -52,8 +52,7 @@ import (
 // farFuture is the readiness horizon of a cache with no starting pods.
 const farFuture = time.Duration(math.MaxInt64)
 
-// hotState is the dense SoA mirror; non-nil exactly when the kernel is
-// sharded (Config.Shards > 1).
+// hotState is the dense SoA mirror, shared by all shards.
 type hotState struct {
 	slow     []float64         // node slot → interference slowdown (P1)
 	appUsage []resource.Vector // app hot index → per-replica usage (P2)
@@ -64,7 +63,7 @@ type hotState struct {
 }
 
 // appRunCache is one app's cached ready-replica aggregate — exactly
-// what the serial P2 loop re-derives per tick.
+// what the staging P2 walk re-derives per tick.
 type appRunCache struct {
 	ok      bool
 	slots   []int32         // node slots of ready running replicas, byApp order
@@ -92,18 +91,12 @@ type nodePodCache struct {
 // hotAddNode assigns a dense slot to a new node. Both the incremental
 // path (indexAddNode) and ProvisionBulk register through here.
 func (c *Cluster) hotAddNode(n *NodeObject) {
-	if c.hot == nil {
-		return
-	}
 	n.slot = int32(len(c.hot.slow))
 	c.hot.slow = append(c.hot.slow, 1)
 }
 
 // hotAddApp assigns a dense usage index to a new service.
 func (c *Cluster) hotAddApp(st *appState) {
-	if c.hot == nil {
-		return
-	}
 	st.hotIdx = int32(len(c.hot.appUsage))
 	c.hot.appUsage = append(c.hot.appUsage, resource.Vector{})
 }
@@ -111,9 +104,6 @@ func (c *Cluster) hotAddApp(st *appState) {
 // hotDirtyApp invalidates an app's run cache after a membership,
 // readiness-anchor or request mutation.
 func (c *Cluster) hotDirtyApp(app string) {
-	if c.hot == nil {
-		return
-	}
 	if st, ok := c.apps[app]; ok {
 		st.rc.ok = false
 	}
@@ -121,16 +111,13 @@ func (c *Cluster) hotDirtyApp(app string) {
 
 // hotDirtyNode invalidates a node's pod cache after a bind/unbind.
 func (c *Cluster) hotDirtyNode(node string) {
-	if c.hot == nil {
-		return
-	}
 	if n, ok := c.nodes[node]; ok {
 		n.pc.ok = false
 	}
 }
 
 // rebuildAppCache re-derives the app's ready aggregate from the byApp
-// index: the same filter, addends and order as the serial loop, cached
+// index: the same filter, addends and order as phaseApp, cached
 // until topology changes or the readiness horizon passes.
 func (c *Cluster) rebuildAppCache(st *appState, now time.Duration) {
 	rc := &st.rc
@@ -179,7 +166,7 @@ func (c *Cluster) phaseAppFast(st *appState, now time.Duration) {
 			Throughput:  0,
 			Saturated:   lambda > 0,
 		}
-		// The serial loop would clear each replica's leftover usage once;
+		// The staging walk would clear each replica's leftover usage once;
 		// the dense path clears them all by zeroing appUsage below. Owe
 		// the flush the version stamps of that one-time clear.
 		st.stamps = rc.contrib
@@ -201,7 +188,7 @@ func (c *Cluster) phaseAppFast(st *appState, now time.Duration) {
 
 // rebuildNodeCache re-derives the node's running-pod composition from
 // the byNode index, preserving byNode order so the P3 gather sums the
-// same addends in the same order as the serial loop.
+// same addends in the same order as phaseNodeUsage.
 func (c *Cluster) rebuildNodeCache(n *NodeObject, now time.Duration) {
 	pc := &n.pc
 	pc.entries = pc.entries[:0]
@@ -305,15 +292,15 @@ func (c *Cluster) flushNodesFast(now time.Duration) {
 
 // syncPodUsage materialises per-pod Usage fields from the dense state.
 // A service replica carries its app's last evaluated usage iff it was
-// running and ready at the last fast phase (exactly the set the serial
-// loop stamps); every other replica's usage is zero — eviction clears
+// running and ready at the last fast phase (exactly the set phaseApp
+// stamps); every other replica's usage is zero — eviction clears
 // usage and a replica can only become not-ready by being re-bound,
 // which passes through eviction, so a not-ready replica's usage is
-// always zero on the serial path too. Task pods own their usage and are
+// always zero on the staging path too. Task pods own their usage and are
 // never touched.
 func (c *Cluster) syncPodUsage() {
 	h := c.hot
-	if h == nil || !h.usageStale {
+	if !h.usageStale {
 		return
 	}
 	for _, st := range c.appList {

@@ -72,9 +72,9 @@ type NodeObject struct {
 	slow    float64
 	running int
 
-	// Sharded-kernel hot state (hotstate.go): slot is the node's index
-	// into the cluster's dense arrays, pc the cached running-pod
-	// composition P3 gathers from. Unused on the single-engine path.
+	// Dense hot state (hotstate.go): slot is the node's index into the
+	// cluster's dense arrays, pc the cached running-pod composition P3
+	// gathers from.
 	slot int32
 	pc   nodePodCache
 }

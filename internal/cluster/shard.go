@@ -15,11 +15,12 @@ import (
 
 // Sharded tick.
 //
-// With cfg.Shards > 1 the cluster's entities are partitioned onto shard
-// engines by stable name hash — nodes and apps each land on one shard
-// forever — and the tick decomposes into three phases fanned out as one
-// event per shard at the current timestamp, driven to completion by
-// sim.Coordinator.DrainShards between the serial sections:
+// The cluster's entities are partitioned onto cfg.Shards shard engines
+// (one when Shards <= 1) by stable name hash — nodes and apps each land
+// on one shard forever — and the tick decomposes into three phases
+// fanned out as one event per shard at the current timestamp, driven to
+// completion by sim.Coordinator.DrainShards between the serial
+// sections:
 //
 //	P1 per-node:  interference slowdown from last tick's usage
 //	P2 per-app:   load → perf model → telemetry windows and series
@@ -33,9 +34,8 @@ import (
 // state (an app reading the slowdown of a node on another shard, a node
 // summing usage written by apps on other shards) always cross a phase
 // barrier, never a concurrent write. That discipline, plus per-app
-// keyed random streams (sim.PartitionedRNG), is why any shard count —
-// and any worker count — replays byte-identically against the
-// single-engine path in tick.go.
+// keyed random streams (sim.PartitionedRNG), is why every shard count —
+// and every worker count — replays byte-identically.
 
 // shardState is one shard's partition of the cluster.
 type shardState struct {
@@ -53,17 +53,15 @@ type shardState struct {
 // initShards builds the coordinator, the dense hot state and the
 // (initially empty) shard partitions; indexAddNode/indexAddApp route
 // entities to their shard as they are created. workers <= 0 defaults to
-// min(n, GOMAXPROCS): more workers than shards can never run, and more
-// workers than cores only adds scheduler pressure.
+// GOMAXPROCS, since more workers than cores only adds scheduler
+// pressure; either way it is capped at n, since more workers than
+// shards can never run.
 func (c *Cluster) initShards(n, workers int) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-		if workers > n {
-			workers = n
-		}
 	}
+	workers = min(workers, n)
 	c.co = sim.NewCoordinator(c.eng, n, workers)
-	c.co.SetBatched(c.cfg.BatchedRounds)
 	c.hot = &hotState{}
 	c.shards = make([]*shardState, n)
 	for i := range c.shards {
@@ -159,14 +157,13 @@ func (sh *shardState) phase3() {
 	}
 }
 
-// tickSharded is the body of the tick after schedulePending when the
-// kernel is sharded: fan each phase out as one event per shard at the
-// current instant, drain to the barrier, apply the staged cross-shard
-// effects in canonical order. Ordering note: the phases run to
-// completion inside this call — before the tick event returns — so a
-// control-loop event queued at the same timestamp (with a lower
-// sequence number than the phase events) still observes a fully
-// consistent cluster, exactly as it does after the serial tick.
+// tickSharded is the body of the tick after schedulePending: fan each
+// phase out as one event per shard at the current instant, drain to the
+// barrier, apply the staged cross-shard effects in canonical order.
+// Ordering note: the phases run to completion inside this call — before
+// the tick event returns — so a control-loop event queued at the same
+// timestamp (with a lower sequence number than the phase events) still
+// observes a fully consistent cluster.
 func (c *Cluster) tickSharded() {
 	now := c.now()
 	// The dense path requires a quiescent registry: nobody to notify,
@@ -174,7 +171,7 @@ func (c *Cluster) tickSharded() {
 	// drops the tick back to the staging path, whose flush notifies in
 	// canonical order; pod usage deferred by earlier dense ticks is
 	// materialised first so the staging path (and the watchers) see
-	// exactly the state the serial tick would have left.
+	// exactly the per-pod state a staged tick would have left.
 	fast := c.store.Quiescent()
 	if !fast {
 		c.syncPodUsage()
@@ -237,13 +234,13 @@ func (c *Cluster) tickSharded() {
 	}
 }
 
-// phaseApp is one app's share of P2 — the same arithmetic, stream draws
-// and window writes as the serial loop in tick.go, with every globally
-// ordered side effect staged on the appState instead of applied
-// in-place: registry updates into updBuf, the PLO onset/clear trace
-// event into traceEv, fault tallies into tickDrop/tickStale/chaosStats.
-// flushApps applies them at the barrier in appList order, which makes
-// the observable effect sequence identical to the serial loop's.
+// phaseApp is one app's share of P2 on the staging path (a watched
+// registry), with every globally ordered side effect staged on the
+// appState instead of applied in-place: registry updates into updBuf,
+// the PLO onset/clear trace event into traceEv, fault tallies into
+// tickDrop/tickStale/chaosStats. flushApps applies them at the barrier
+// in appList order, so the observable effect sequence does not depend
+// on the shard count.
 func (c *Cluster) phaseApp(st *appState, now time.Duration, scratch []*PodObject) []*PodObject {
 	spec := st.obj.Spec
 	lambda := st.loadFn(now)
@@ -314,9 +311,8 @@ func (c *Cluster) phaseAppTail(st *appState, now time.Duration, lambda float64, 
 	case plo.Throughput:
 		sli = throughput
 	}
-	// Same burn accounting as the serial tick: the sample covers one
-	// metrics interval of service time. App-owned state only, so the
-	// shard worker may write it without staging.
+	// The sample covers one metrics interval of service time. App-owned
+	// state only, so the shard worker may write it without staging.
 	st.tracker.ObserveFor(sli, c.cfg.MetricsInterval.Seconds())
 
 	st.winTicks++
@@ -401,13 +397,12 @@ func (c *Cluster) phaseAppTail(st *appState, now time.Duration, lambda float64, 
 }
 
 // flushApps applies P2's staged side effects at the barrier, walking
-// appList in name order — the same order the serial loop visits apps —
-// so registry version numbers, trace events and fault tallies come out
-// identical to the single-engine path. PLO trace events are collected
-// in that walk and recorded in one batch at the end: the registry
-// updates between them emit no trace events of their own (the watch
-// mirror skips Modified), so the recorded sequence matches the
-// interleaved serial one.
+// appList in name order, so registry version numbers, trace events and
+// fault tallies come out identical at every shard count. PLO trace
+// events are collected in that walk and recorded in one batch at the
+// end: the registry updates between them emit no trace events of their
+// own (the watch mirror skips Modified), so the recorded sequence
+// matches a per-app interleaving.
 func (c *Cluster) flushApps() {
 	chaosOn := c.chaos != nil
 	c.traceBuf = c.traceBuf[:0]
@@ -437,7 +432,7 @@ func (c *Cluster) flushApps() {
 // flushNodes commits P3's results serially: node registry updates in
 // nodeList order (one batch, same version trajectory as per-node
 // updates) and the float totals for the cluster series, accumulated in
-// nodeList order so the sums are bit-identical to the serial loop's.
+// nodeList order so the sums are bit-identical at every shard count.
 func (c *Cluster) flushNodes(now time.Duration) {
 	var capTotal, allocTotal, usageTotal resource.Vector
 	emptyNodes := 0

@@ -12,19 +12,20 @@ import (
 // Span emission (the causal layer over the event trace — see
 // internal/obs/span.go). All spans are recorded from serial control
 // paths — schedulePending/bind, eviction, decision application, gang
-// admission, the post-barrier section of the sharded tick — so span IDs
-// are assigned in a deterministic order at any shard/worker count. A
-// span's Shard field carries the kernel shard that owns its app (-1
-// unsharded) and is the only field allowed to differ between runs at
-// different shard counts.
+// admission, the post-barrier section of the tick — so span IDs are
+// assigned in a deterministic order at any shard/worker count. A span's
+// Shard field carries the kernel shard that owns its app (-1 on a
+// one-shard kernel) and is the only field allowed to differ between
+// runs at different shard counts.
 //
 // Because the simulation is deterministic, intervals are recorded
 // completed: a bind already knows ReadyAt, so the root lifecycle span
 // is emitted at first bind with its end in the (virtual) future.
 
-// appShard returns the kernel shard that owns an app, -1 unsharded.
+// appShard returns the kernel shard that owns an app, -1 when the
+// kernel runs a single shard.
 func (c *Cluster) appShard(app string) int32 {
-	if c.co == nil {
+	if len(c.shards) == 1 {
 		return -1
 	}
 	return int32(shardOfApp(app, len(c.shards)))

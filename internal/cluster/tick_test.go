@@ -3,20 +3,20 @@ package cluster
 import (
 	"testing"
 	"time"
-
-	"evolve/internal/resource"
 )
 
 // TestTickClearsStaleUsageDuringOutage is a regression test for the
-// no-capacity branch of tick: when a service has no serving replica,
-// any usage still recorded on its pods (from a period when they did
-// serve) must be zeroed, otherwise the dead usage keeps feeding node
-// interference for every tick of the outage.
+// no-capacity branch of the tick: when a service has no serving replica,
+// no usage may remain recorded on its pods from a period when they did
+// serve, otherwise the dead usage keeps feeding node interference for
+// every tick of the outage. The replica serves, loses its node, rebinds
+// when the node returns and sits out its startup delay — Running, not
+// ready, the app in total outage.
 func TestTickClearsStaleUsageDuringOutage(t *testing.T) {
 	c := newTestCluster(t, 1)
 	spec := testService("web")
 	spec.InitialReplicas = 1
-	spec.StartupDelay = time.Minute // replica binds but stays not-ready
+	spec.StartupDelay = time.Minute
 	if err := c.CreateService(spec); err != nil {
 		t.Fatal(err)
 	}
@@ -24,27 +24,37 @@ func TestTickClearsStaleUsageDuringOutage(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Start()
-	c.Engine().Run(c.cfg.MetricsInterval) // first tick: bound, still starting
+	step := c.cfg.MetricsInterval
+	c.Run(2 * time.Minute) // bound at the first tick, serving since 1m
 
+	node := c.nodes["node-0"]
 	pods := c.byApp["web"]
 	if len(pods) != 1 {
 		t.Fatalf("pods = %d, want 1", len(pods))
 	}
 	p := pods[0]
+	c.syncPodUsage()
+	if p.Usage.IsZero() || node.Usage.IsZero() {
+		t.Fatalf("serving replica should carry usage: pod %v, node %v", p.Usage, node.Usage)
+	}
+
+	if err := c.FailNode("node-0"); err != nil {
+		t.Fatal(err)
+	}
+	c.Run(c.now() + step)
+	if err := c.RestoreNode("node-0"); err != nil {
+		t.Fatal(err)
+	}
+	c.Run(c.now() + 3*step) // rebound, starting up: outage ticks
+
 	if p.Phase != Running || p.ReadyAt <= c.now() {
 		t.Fatalf("replica should be bound but not ready: phase=%v readyAt=%v now=%v", p.Phase, p.ReadyAt, c.now())
 	}
-	// Plant the historical bug state: a non-serving replica still carrying
-	// usage from an earlier serving period.
-	p.Usage = resource.New(500, 1<<30, 1e6, 1e6)
-	c.update(p)
-
-	c.Engine().Run(2 * c.cfg.MetricsInterval) // outage tick must clear it
-
+	c.syncPodUsage()
 	if !p.Usage.IsZero() {
 		t.Errorf("stale usage not cleared during outage: %v", p.Usage)
 	}
-	if got := c.nodes["node-0"].Usage; !got.IsZero() {
-		t.Errorf("node usage should be zero during outage, got %v", got)
+	if !node.Usage.IsZero() {
+		t.Errorf("node usage should be zero during outage, got %v", node.Usage)
 	}
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // Gates for the sharded control loop: worker-count invariance of every
-// observable output, and the allocation budget of the serial path the
-// 1-worker configuration must keep taking.
+// observable output, and the allocation budget of the 1-worker step
+// (evaluation inline, no pool fan-out).
 
 // quietPlant is a minimal plant for worker sweeps: per-app replica
 // state that decisions actually move, plus an order log so actuation
@@ -69,22 +69,22 @@ func runWorkerSweep(t *testing.T, workers int) string {
 		plant.order, fmt.Sprintf("%v", plant.replicas), plant.events, l.Stats())
 }
 
-// TestLoopWorkersDeterministic: the sharded evaluate/apply split must
-// actuate the same decisions in the same order as the serial loop at
-// every worker count, including workers beyond the app count.
+// TestLoopWorkersDeterministic: the evaluate/apply step must actuate
+// the same decisions in the same order at every worker count as with
+// inline evaluation, including workers beyond the app count.
 func TestLoopWorkersDeterministic(t *testing.T) {
 	want := runWorkerSweep(t, 1)
 	for _, workers := range []int{2, 3, 7, 32} {
 		if got := runWorkerSweep(t, workers); got != want {
-			t.Errorf("workers=%d: output diverged from serial loop\n got: %s\nwant: %s", workers, got, want)
+			t.Errorf("workers=%d: output diverged from the 1-worker loop\n got: %s\nwant: %s", workers, got, want)
 		}
 	}
 }
 
 // TestControlEvalAllocs pins the steady-state allocation budget of the
-// serial (1-worker) control step: the path every existing scenario
-// takes must not regress when the sharded machinery is compiled in.
-// The plant here is deliberately allocation-free so the measurement
+// 1-worker control step (the default configuration): the evaluate
+// buffer and the apply walk must not allocate per app once warm. The
+// plant here is deliberately allocation-free so the measurement
 // isolates the loop itself (observe → harden → decide → actuate).
 func TestControlEvalAllocs(t *testing.T) {
 	eng := sim.NewEngine(3)
@@ -104,13 +104,13 @@ func TestControlEvalAllocs(t *testing.T) {
 		horizon += 15 * time.Second
 		eng.Run(horizon)
 	})
-	t.Logf("serial control period: %.1f allocs (16 apps)", allocs)
+	t.Logf("1-worker control period: %.1f allocs (16 apps)", allocs)
 	// Budget: the order-log fmt.Sprintf in the plant costs 2 allocations
 	// per app (measured 32.0 for 16 apps); the loop machinery itself
 	// must add nothing on top. 40 leaves slack for fmt internals
 	// shifting across Go releases while still catching a single new
 	// per-app allocation in the loop (which would read 48+).
 	if maxAllocs := 40.0; allocs > maxAllocs {
-		t.Errorf("serial control period allocates %.1f times, want <= %.0f", allocs, maxAllocs)
+		t.Errorf("1-worker control period allocates %.1f times, want <= %.0f", allocs, maxAllocs)
 	}
 }

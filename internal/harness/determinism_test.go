@@ -11,12 +11,19 @@ import (
 
 // The sharded kernel's headline guarantee: the same scenario replays
 // byte-identically at every shard count — Reports and trace streams
-// alike — chaos on or off, batched rounds on or off. These tests pin
-// that guarantee; shard.go documents the phase/barrier discipline that
-// earns it. Traced runs exercise the staging path (a live watch keeps
-// the registry non-quiescent); untraced runs exercise the dense
-// cache-backed path (hotstate.go), which must reproduce the same
-// Report bytes.
+// alike — chaos on or off. These tests pin that guarantee; shard.go
+// documents the phase/barrier discipline that earns it. Traced runs
+// exercise the staging path (a live watch keeps the registry
+// non-quiescent); untraced runs exercise the dense cache-backed path
+// (hotstate.go), which must reproduce the same Report bytes. Every
+// configuration here, the 1-shard baseline included, runs the same
+// phase code, so these suites pin shard-count invariance; the committed
+// golden digests (golden_test.go in the module root) pin the outputs
+// themselves.
+//
+// The coordinator has a single round protocol (each active shard
+// drains all its same-timestamp events per round); the "batched"
+// subtest level names it, so test IDs stay stable.
 
 // determinismScenario is a reduced-scale converged mix: interactive
 // services, batch DAGs and rigid HPC gangs contending on five nodes,
@@ -109,9 +116,8 @@ func runReportOnly(t *testing.T, sc Scenario) string {
 var shardCounts = []int{2, 4, 7, 16}
 
 // TestShardedRunsByteIdentical replays the converged scenario at shard
-// counts {1, 2, 4, 7, 16}, chaos off and on, batched rounds on and off,
-// and demands byte-identical Reports and trace streams against the
-// single-engine baseline.
+// counts {1, 2, 4, 7, 16}, chaos off and on, and demands byte-identical
+// Reports and trace streams against the 1-shard baseline.
 func TestShardedRunsByteIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -130,45 +136,37 @@ func TestShardedRunsByteIdentical(t *testing.T) {
 			if wantSpans == "" {
 				t.Fatal("baseline produced an empty span stream")
 			}
-			for _, batched := range []bool{true, false} {
-				name := "batched"
-				if !batched {
-					name = "unbatched"
-				}
-				t.Run(name, func(t *testing.T) {
-					for _, shards := range shardCounts {
-						sc := determinismScenario(101, tc.plan)
-						sc.Shards = shards
-						sc.ShardWorkers = 1
-						sc.UnbatchedRounds = !batched
-						// The control plane shards along for the ride: its
-						// evaluate/apply split must not move a byte either.
-						sc.CtrlWorkers = shards
-						gotReport, gotTrace, gotSpans := runFingerprint(t, sc)
-						if gotReport != wantReport {
-							t.Errorf("shards=%d: Report diverged from 1-shard baseline\n got: %s\nwant: %s",
-								shards, gotReport, wantReport)
-						}
-						if gotTrace != wantTrace {
-							t.Errorf("shards=%d: trace stream diverged from 1-shard baseline (%d vs %d bytes)",
-								shards, len(gotTrace), len(wantTrace))
-						}
-						if gotSpans != wantSpans {
-							t.Errorf("shards=%d: span stream diverged from 1-shard baseline (%d vs %d bytes)",
-								shards, len(gotSpans), len(wantSpans))
-						}
+			t.Run("batched", func(t *testing.T) {
+				for _, shards := range shardCounts {
+					sc := determinismScenario(101, tc.plan)
+					sc.Shards = shards
+					sc.ShardWorkers = 1
+					// The control plane shards along for the ride: its
+					// evaluate/apply split must not move a byte either.
+					sc.CtrlWorkers = shards
+					gotReport, gotTrace, gotSpans := runFingerprint(t, sc)
+					if gotReport != wantReport {
+						t.Errorf("shards=%d: Report diverged from 1-shard baseline\n got: %s\nwant: %s",
+							shards, gotReport, wantReport)
 					}
-				})
-			}
+					if gotTrace != wantTrace {
+						t.Errorf("shards=%d: trace stream diverged from 1-shard baseline (%d vs %d bytes)",
+							shards, len(gotTrace), len(wantTrace))
+					}
+					if gotSpans != wantSpans {
+						t.Errorf("shards=%d: span stream diverged from 1-shard baseline (%d vs %d bytes)",
+							shards, len(gotSpans), len(wantSpans))
+					}
+				}
+			})
 		})
 	}
 }
 
 // TestShardedUntracedByteIdentical is the dense-path gate: with no
-// tracer the registry is quiescent and the sharded tick runs on the
-// hot-state caches (deferred pod usage, counter-advance versioning).
-// Every Report must still match the untraced single-engine baseline
-// byte for byte, batched or not.
+// tracer the registry is quiescent and the tick runs on the hot-state
+// caches (deferred pod usage, counter-advance versioning). Every Report
+// must match the untraced 1-shard baseline byte for byte.
 func TestShardedUntracedByteIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -181,24 +179,17 @@ func TestShardedUntracedByteIdentical(t *testing.T) {
 			base := determinismScenario(101, tc.plan)
 			base.Shards = 1
 			wantReport := runReportOnly(t, base)
-			for _, batched := range []bool{true, false} {
-				name := "batched"
-				if !batched {
-					name = "unbatched"
-				}
-				t.Run(name, func(t *testing.T) {
-					for _, shards := range shardCounts {
-						sc := determinismScenario(101, tc.plan)
-						sc.Shards = shards
-						sc.ShardWorkers = 1
-						sc.UnbatchedRounds = !batched
-						if got := runReportOnly(t, sc); got != wantReport {
-							t.Errorf("shards=%d: untraced Report diverged from 1-shard baseline\n got: %s\nwant: %s",
-								shards, got, wantReport)
-						}
+			t.Run("batched", func(t *testing.T) {
+				for _, shards := range shardCounts {
+					sc := determinismScenario(101, tc.plan)
+					sc.Shards = shards
+					sc.ShardWorkers = 1
+					if got := runReportOnly(t, sc); got != wantReport {
+						t.Errorf("shards=%d: untraced Report diverged from 1-shard baseline\n got: %s\nwant: %s",
+							shards, got, wantReport)
 					}
-				})
-			}
+				}
+			})
 		})
 	}
 }
@@ -206,7 +197,7 @@ func TestShardedUntracedByteIdentical(t *testing.T) {
 // TestCtrlWorkersByteIdentical is the control-plane analogue of the
 // kernel gate: the converged scenario replays byte-identically —
 // Report, trace stream, masked span stream — at control-plane worker
-// counts {2, 4, 7} against the serial baseline, on both the 1-shard and
+// counts {2, 4, 7} against the 1-worker baseline, on both the 1-shard and
 // 4-shard kernels, chaos off and on. The worker counts cross the app
 // count on purpose (7 workers over a handful of apps exercises the
 // clamp); under `go test -race` this is also the race gate for the
@@ -221,7 +212,7 @@ func TestCtrlWorkersByteIdentical(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			base := determinismScenario(303, tc.plan)
-			base.CtrlWorkers = 1 // pinned serial path
+			base.CtrlWorkers = 1 // inline evaluation
 			wantReport, wantTrace, wantSpans := runFingerprint(t, base)
 			if wantTrace == "" || wantSpans == "" {
 				t.Fatal("baseline produced an empty trace or span stream")
@@ -234,7 +225,7 @@ func TestCtrlWorkersByteIdentical(t *testing.T) {
 					sc.CtrlWorkers = workers
 					gotReport, gotTrace, gotSpans := runFingerprint(t, sc)
 					if gotReport != wantReport {
-						t.Errorf("shards=%d ctrl-workers=%d: Report diverged from serial baseline\n got: %s\nwant: %s",
+						t.Errorf("shards=%d ctrl-workers=%d: Report diverged from 1-worker baseline\n got: %s\nwant: %s",
 							shards, workers, gotReport, wantReport)
 					}
 					if gotTrace != wantTrace {
@@ -253,40 +244,31 @@ func TestCtrlWorkersByteIdentical(t *testing.T) {
 
 // TestShardedParallelWorkersDeterministic pins worker-count invariance:
 // with 4 shards, ticking same-timestamp shards in parallel (4 workers)
-// must produce the same bytes as serial rounds (1 worker), batched
-// rounds on or off. Under `go test -race` this is also the race gate
-// for the parallel phase fan-out across the cluster, chaos and metrics
-// layers.
+// must produce the same bytes as serial rounds (1 worker). Under
+// `go test -race` this is also the race gate for the parallel phase
+// fan-out across the cluster, chaos and metrics layers.
 func TestShardedParallelWorkersDeterministic(t *testing.T) {
-	for _, batched := range []bool{true, false} {
-		name := "batched"
-		if !batched {
-			name = "unbatched"
+	t.Run("batched", func(t *testing.T) {
+		base := determinismScenario(202, chaosEverything)
+		base.Shards = 4
+		base.ShardWorkers = 1
+		wantReport, wantTrace, wantSpans := runFingerprint(t, base)
+
+		par := determinismScenario(202, chaosEverything)
+		par.Shards = 4
+		par.ShardWorkers = 4
+		gotReport, gotTrace, gotSpans := runFingerprint(t, par)
+
+		if gotReport != wantReport {
+			t.Errorf("parallel workers: Report diverged\n got: %s\nwant: %s", gotReport, wantReport)
 		}
-		t.Run(name, func(t *testing.T) {
-			base := determinismScenario(202, chaosEverything)
-			base.Shards = 4
-			base.ShardWorkers = 1
-			base.UnbatchedRounds = !batched
-			wantReport, wantTrace, wantSpans := runFingerprint(t, base)
-
-			par := determinismScenario(202, chaosEverything)
-			par.Shards = 4
-			par.ShardWorkers = 4
-			par.UnbatchedRounds = !batched
-			gotReport, gotTrace, gotSpans := runFingerprint(t, par)
-
-			if gotReport != wantReport {
-				t.Errorf("parallel workers: Report diverged\n got: %s\nwant: %s", gotReport, wantReport)
-			}
-			if gotTrace != wantTrace {
-				t.Errorf("parallel workers: trace stream diverged (%d vs %d bytes)", len(gotTrace), len(wantTrace))
-			}
-			if gotSpans != wantSpans {
-				t.Errorf("parallel workers: span stream diverged (%d vs %d bytes)", len(gotSpans), len(wantSpans))
-			}
-		})
-	}
+		if gotTrace != wantTrace {
+			t.Errorf("parallel workers: trace stream diverged (%d vs %d bytes)", len(gotTrace), len(wantTrace))
+		}
+		if gotSpans != wantSpans {
+			t.Errorf("parallel workers: span stream diverged (%d vs %d bytes)", len(gotSpans), len(wantSpans))
+		}
+	})
 }
 
 // TestShardedParallelWorkersUntraced is the same worker-invariance gate

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -103,6 +104,54 @@ func TestAllFiguresGenerate(t *testing.T) {
 		if lines != len(f.X)+1 {
 			t.Errorf("%s csv lines = %d, want %d", fc.name, lines, len(f.X)+1)
 		}
+	}
+}
+
+// TestFigure7HeadlinesInDomain: Figure 7's two series sit at disjoint x
+// positions, so each row leaves one column absent. Absent points must
+// stay out of the headline means (evolve-bench reports Figure.Mean per
+// column): every headline, and every present point, must lie in its
+// column's domain — percentages in [0,100], everything else >= 0.
+func TestFigure7HeadlinesInDomain(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full run")
+	}
+	f, err := Figure7(nil, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inDomain := func(col string, v float64) bool {
+		if strings.Contains(col, "%") {
+			return v >= 0 && v <= 100
+		}
+		return v >= 0
+	}
+	for i, col := range f.Columns {
+		m := f.Mean(i)
+		if math.IsNaN(m) {
+			t.Errorf("%s: no present points", col)
+			continue
+		}
+		if !inDomain(col, m) {
+			t.Errorf("headline mean:%s = %v outside its domain", col, m)
+		}
+		for _, y := range f.Present(i) {
+			if !inDomain(col, y) {
+				t.Errorf("%s: point %v outside its domain", col, y)
+			}
+		}
+	}
+	for _, x := range f.X {
+		if !inDomain(f.XLabel, x) {
+			t.Errorf("%s: x %v outside its domain", f.XLabel, x)
+		}
+	}
+	var csv bytes.Buffer
+	if err := f.RenderCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(csv.String(), "NaN") {
+		t.Errorf("absent points rendered as NaN instead of empty cells:\n%s", csv.String())
 	}
 }
 

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"evolve/internal/baseline"
@@ -387,15 +388,15 @@ func Figure7(r *Runner, seed int64) (*Figure, error) {
 	evViol := evRes.OverallViolation() * 100
 	evAlloc := evRes.AllocFraction[resource.CPU]
 	for _, res := range runs[1:] {
-		if err := f.AddPoint(res.AllocFraction[resource.CPU], res.OverallViolation()*100, -1); err != nil {
+		if err := f.AddPoint(res.AllocFraction[resource.CPU], res.OverallViolation()*100, math.NaN()); err != nil {
 			return nil, err
 		}
 	}
-	if err := f.AddPoint(evAlloc, -1, evViol); err != nil {
+	if err := f.AddPoint(evAlloc, math.NaN(), evViol); err != nil {
 		return nil, err
 	}
 	f.Notes = append(f.Notes,
-		"-1 marks absent points (the two series occupy different x positions)",
+		"empty cells mark absent points (the two series occupy different x positions)",
 		fmt.Sprintf("evolve: %.2f%% violations at %.3f alloc fraction", evViol, evAlloc))
 	return f, nil
 }

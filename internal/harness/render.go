@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -121,8 +122,33 @@ type Figure struct {
 	XLabel  string
 	Columns []string // series names, excluding x
 	X       []float64
-	Series  [][]float64 // Series[i] parallel to X, one per column
+	Series  [][]float64 // Series[i] parallel to X, one per column; NaN = no point
 	Notes   []string
+}
+
+// Present returns series i without its absent (NaN) points.
+func (f *Figure) Present(i int) []float64 {
+	var out []float64
+	for _, y := range f.Series[i] {
+		if !math.IsNaN(y) {
+			out = append(out, y)
+		}
+	}
+	return out
+}
+
+// Mean returns the mean of series i over its present points, NaN when
+// it has none.
+func (f *Figure) Mean(i int) float64 {
+	s := f.Present(i)
+	if len(s) == 0 {
+		return math.NaN()
+	}
+	sum := 0.0
+	for _, y := range s {
+		sum += y
+	}
+	return sum / float64(len(s))
 }
 
 // AddPoint appends one x value with its series values.
@@ -153,7 +179,7 @@ func (f *Figure) RenderCSV(w io.Writer) error {
 		b.WriteString(strconv.FormatFloat(x, 'g', 6, 64))
 		for _, s := range f.Series {
 			b.WriteByte(',')
-			if i < len(s) {
+			if i < len(s) && !math.IsNaN(s[i]) {
 				b.WriteString(strconv.FormatFloat(s[i], 'g', 6, 64))
 			}
 		}
@@ -169,22 +195,19 @@ func (f *Figure) Render(w io.Writer) error {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s — %s (x: %s, %d points)\n", f.ID, f.Title, f.XLabel, len(f.X))
 	for i, name := range f.Columns {
-		if i >= len(f.Series) || len(f.Series[i]) == 0 {
+		if i >= len(f.Series) {
 			continue
 		}
-		s := f.Series[i]
-		min, max, sum := s[0], s[0], 0.0
+		s := f.Present(i)
+		if len(s) == 0 {
+			continue
+		}
+		min, max := s[0], s[0]
 		for _, v := range s {
-			if v < min {
-				min = v
-			}
-			if v > max {
-				max = v
-			}
-			sum += v
+			min, max = math.Min(min, v), math.Max(max, v)
 		}
 		fmt.Fprintf(&b, "  %-24s %s  min=%s mean=%s max=%s\n",
-			name, sparkline(s, 48), formatCell(min), formatCell(sum/float64(len(s))), formatCell(max))
+			name, sparkline(s, 48), formatCell(min), formatCell(f.Mean(i)), formatCell(max))
 	}
 	for _, n := range f.Notes {
 		fmt.Fprintf(&b, "note: %s\n", n)

@@ -205,10 +205,9 @@ func TestShardOfStableAndInRange(t *testing.T) {
 // PartitionedRNG stream; shards post cross-shard mail that mutates a
 // shared journal at the barrier. The journal string must be identical
 // for any (shard count kept fixed) worker count.
-func coordScenario(workers int, batched bool) string {
+func coordScenario(workers int) string {
 	primary := NewEngine(7)
 	co := NewCoordinator(primary, 4, workers)
-	co.SetBatched(batched)
 	prng := NewPartitionedRNG(7)
 	journal := ""
 	// Per-shard state: a counter advanced by the shard's own stream.
@@ -238,22 +237,14 @@ func coordScenario(workers int, batched bool) string {
 }
 
 func TestCoordinatorDeterministicAcrossWorkers(t *testing.T) {
-	for _, batched := range []bool{false, true} {
-		base := coordScenario(1, batched)
-		if base == "" {
-			t.Fatal("scenario produced no journal")
-		}
-		for _, w := range []int{2, 4, 8} {
-			if got := coordScenario(w, batched); got != base {
-				t.Errorf("batched=%v workers=%d journal diverged from serial baseline", batched, w)
-			}
-		}
+	base := coordScenario(1)
+	if base == "" {
+		t.Fatal("scenario produced no journal")
 	}
-	// This scenario posts exactly one event per shard per timestamp, so
-	// the two round protocols interleave identically and must agree with
-	// each other too.
-	if coordScenario(1, false) != coordScenario(1, true) {
-		t.Error("batched and unbatched journals diverged on a one-event-per-round workload")
+	for _, w := range []int{2, 4, 8} {
+		if got := coordScenario(w); got != base {
+			t.Errorf("workers=%d journal diverged from serial baseline", w)
+		}
 	}
 }
 
@@ -365,43 +356,40 @@ func TestProcessEventsAt(t *testing.T) {
 	}
 }
 
-// Batched rounds must collapse a k-events-per-shard tick from k rounds
-// (k barriers) to one, without changing what each shard executes. The
-// journals are per-shard: shard events only touch their own state, and
-// cross-shard interleaving is exactly what the two protocols are free
-// to order differently.
+// A round drains every same-timestamp event of each active shard, so a
+// k-events-per-shard tick costs one round (one barrier), not k, and
+// each shard still executes its events in FIFO order.
 func TestBatchedRoundsCollapseBarriers(t *testing.T) {
-	run := func(batched bool) (journals [2]string, rounds uint64) {
-		primary := NewEngine(3)
-		co := NewCoordinator(primary, 2, 1)
-		co.SetBatched(batched)
-		primary.Every(time.Second, func() {
-			now := primary.Now()
-			for i := 0; i < co.NumShards(); i++ {
-				i := i
-				for k := 0; k < 5; k++ {
-					k := k
-					co.Shard(i).Post(now, func() {
-						journals[i] += fmt.Sprintf("%v/e%d ", now, k)
-					})
-				}
+	var journals [2]string
+	primary := NewEngine(3)
+	co := NewCoordinator(primary, 2, 1)
+	primary.Every(time.Second, func() {
+		now := primary.Now()
+		for i := 0; i < co.NumShards(); i++ {
+			i := i
+			for k := 0; k < 5; k++ {
+				k := k
+				co.Shard(i).Post(now, func() {
+					journals[i] += fmt.Sprintf("%v/e%d ", now, k)
+				})
 			}
-			co.DrainShards(now)
-		})
-		co.Run(10 * time.Second)
-		total, _ := co.Rounds()
-		return journals, total
+		}
+		co.DrainShards(now)
+	})
+	co.Run(10 * time.Second)
+	if rounds, _ := co.Rounds(); rounds != 10 {
+		t.Errorf("rounds = %d, want 10 (one per tick)", rounds)
 	}
-	serialJournals, serialRounds := run(false)
-	batchedJournals, batchedRounds := run(true)
-	if serialJournals != batchedJournals {
-		t.Error("batched rounds changed a shard's execution journal")
-	}
-	if serialRounds != 10*5 {
-		t.Errorf("unbatched rounds = %d, want 50 (one per event per tick)", serialRounds)
-	}
-	if batchedRounds != 10 {
-		t.Errorf("batched rounds = %d, want 10 (one per tick)", batchedRounds)
+	for i, j := range journals {
+		var want string
+		for s := 1; s <= 10; s++ {
+			for k := 0; k < 5; k++ {
+				want += fmt.Sprintf("%v/e%d ", time.Duration(s)*time.Second, k)
+			}
+		}
+		if j != want {
+			t.Errorf("shard %d journal = %q, want %q", i, j, want)
+		}
 	}
 }
 
@@ -411,7 +399,6 @@ func TestBatchedRoundsCollapseBarriers(t *testing.T) {
 func TestBatchedRoundAllocs(t *testing.T) {
 	primary := NewEngine(1)
 	co := NewCoordinator(primary, 1, 1)
-	co.SetBatched(true)
 	sink := 0
 	fn := func() { sink++ }
 	var at Time
