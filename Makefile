@@ -21,13 +21,18 @@ race:
 bench:
 	$(GO) test -bench . -benchtime 1x -count 1 -run '^$$' ./...
 
-# bench-json regenerates the committed BENCH_*.json trajectory record
-# from the full evaluation run (see cmd/evolve-bench). Figure 6 — the
-# kernel scale sweep to 100k nodes / 1M pods — dominates the wall time;
-# the trailing summary line carries its raw rows (with per-phase
-# breakdown) plus Figure 12's control-plane rows.
+# bench-json adds the next BENCH_<n>.json trajectory record, numbered
+# one past the highest existing record so history is never overwritten
+# and bench-compare pairs it with its predecessor, from the full
+# evaluation run (see cmd/evolve-bench). Figure 6 — the kernel scale
+# sweep to 100k nodes / 1M pods — dominates the wall time; the trailing
+# summary line carries its raw rows (with per-phase breakdown) plus
+# Figure 12's control-plane rows. The record is written to a temporary
+# name first, so a failed run leaves no partial record behind.
+BENCH_NEXT = BENCH_$(shell ls BENCH_*.json 2>/dev/null | sed 's/[^0-9]//g' | sort -n | tail -n 1 | awk '{print $$1+1}').json
 bench-json:
-	$(GO) run ./cmd/evolve-bench -json > BENCH_10.json
+	$(GO) run ./cmd/evolve-bench -json > $(BENCH_NEXT).tmp
+	mv $(BENCH_NEXT).tmp $(BENCH_NEXT)
 
 # bench-shard is the sharded-kernel regression smoke at CI scale: the
 # first three points of the Figure 6 ladder under shard counts {1, 4}
@@ -76,13 +81,16 @@ bench-sched:
 # bench-obs is the observability overhead job: the span-off vs span-on
 # tick pair (BenchmarkTick vs BenchmarkTickTraced — installing a tracer
 # enables the span layer with it), the traced and untraced steady-state
-# allocation gates, and the span/latency emission tests. A traced tick
-# that starts allocating per pod, or a steady tick that records spans,
-# fails here.
+# allocation gates, the span/latency emission tests, and the /metrics
+# scrape: its steady-state allocation gate, its equivalence with the
+# original renderer, and BenchmarkWriteMetrics. A traced tick that
+# starts allocating per pod, a steady tick that records spans, or a
+# scrape that allocates per instrument fails here.
 bench-obs:
 	$(GO) test ./internal/cluster -run 'TestTickSteadyStateAllocs|TestTickTracedAllocsBudget|TestPodSpansEmitted' \
 		-bench 'BenchmarkTick/|BenchmarkTickTraced/' -benchtime 20x -count 1 -v
 	$(GO) test ./internal/obs -run 'TestSpan|TestLatency' -bench 'BenchmarkObserveLatency' -benchtime 100x -count 1
+	$(GO) test ./internal/obs -run 'TestWriteMetricsAllocs|TestExposition' -bench 'BenchmarkWriteMetrics' -benchtime 200x -count 1 -v
 
 # fuzz-smoke gives the chaos-plan parser a short fuzzing budget: long
 # enough to catch parse/round-trip regressions, short enough for CI.

@@ -225,6 +225,10 @@ type Cluster struct {
 	runErr  error
 
 	tracer *obs.Tracer
+	// expo renders /metrics from a layout cached across scrapes; it
+	// lives here, not in a package-level cache, so a discarded world
+	// takes its layout with it.
+	expo obs.Exposition
 
 	// Checkpoint plumbing (ckpt.go): ckptEvery/ckptDir configure the
 	// periodic snapshot timer, lastCkpt retains the latest encoded
@@ -678,9 +682,10 @@ func (cl *Cluster) Tracer() *obs.Tracer { return cl.tracer }
 // WriteMetrics writes the cluster's telemetry in Prometheus text
 // exposition format (version 0.0.4): gauges for the latest sample of
 // every series, counters, and the SLI histograms with cumulative
-// buckets.
+// buckets. It is safe to call from concurrent scrapes between Run
+// calls.
 func (cl *Cluster) WriteMetrics(w io.Writer) error {
-	return obs.WriteMetrics(w, cl.c.Metrics(), cl.tracer)
+	return cl.expo.Write(w, cl.c.Metrics(), cl.tracer)
 }
 
 // ControllerState is one entry of the /debug/controllers view: what a

@@ -2,12 +2,15 @@ package evolve
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"evolve/internal/obs"
 )
 
 func newServedCluster(t *testing.T) *Cluster {
@@ -248,5 +251,73 @@ func TestHTTPSeriesErrors(t *testing.T) {
 	}
 	if code, _, _ := get(t, srv, "/series/not/a/series"); code != http.StatusNotFound {
 		t.Errorf("unknown series = %d", code)
+	}
+}
+
+// TestHTTPMetricsConcurrentScrapes fires concurrent /metrics requests
+// between Run calls — before the first Run, and as chaos and tracing add
+// instruments — and checks every body equals the cluster's WriteMetrics
+// and a fresh single-use rendering. Run it under -race: the scrapes
+// share the cluster's cached exposition layout.
+func TestHTTPMetricsConcurrentScrapes(t *testing.T) {
+	c, err := New(Options{Seed: 5, Nodes: 4, Chaos: "mixed", Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.EnableTracing(1024)
+	for _, name := range []string{"web", `odd "name"`} {
+		if err := c.AddService(ServiceOptions{Name: name, BaseRate: 100}); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.SetLoad(name, Constant(150)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+	const scrapers = 8
+	for round := 0; round < 4; round++ {
+		if round > 0 {
+			if err := c.Run(time.Duration(round) * 20 * time.Minute); err != nil {
+				t.Fatal(err)
+			}
+		}
+		bodies := make([]string, scrapers)
+		errs := make(chan error, scrapers)
+		for i := range bodies {
+			go func(i int) {
+				resp, err := http.Get(srv.URL + "/metrics")
+				if err == nil {
+					var b []byte
+					b, err = io.ReadAll(resp.Body)
+					resp.Body.Close()
+					bodies[i] = string(b)
+					if err == nil && resp.StatusCode != http.StatusOK {
+						err = fmt.Errorf("status %d", resp.StatusCode)
+					}
+				}
+				errs <- err
+			}(i)
+		}
+		for range bodies {
+			if err := <-errs; err != nil {
+				t.Fatalf("round %d: scrape: %v", round, err)
+			}
+		}
+		var direct, fresh strings.Builder
+		if err := c.WriteMetrics(&direct); err != nil {
+			t.Fatal(err)
+		}
+		if err := obs.WriteMetrics(&fresh, c.c.Metrics(), c.tracer); err != nil {
+			t.Fatal(err)
+		}
+		if direct.String() != fresh.String() {
+			t.Fatalf("round %d: cached layout differs from a fresh rendering", round)
+		}
+		for i, b := range bodies {
+			if b != direct.String() {
+				t.Fatalf("round %d: scrape %d differs from WriteMetrics (%d vs %d bytes)", round, i, len(b), direct.Len())
+			}
+		}
 	}
 }

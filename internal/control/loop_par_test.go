@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"evolve/internal/race"
 	"evolve/internal/sim"
 )
 
@@ -87,6 +88,9 @@ func TestLoopWorkersDeterministic(t *testing.T) {
 // plant here is deliberately allocation-free so the measurement
 // isolates the loop itself (observe → harden → decide → actuate).
 func TestControlEvalAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation budgets do not hold under the race detector")
+	}
 	eng := sim.NewEngine(3)
 	plant := newQuietPlant(eng.Now, 16)
 	plant.order = make([]string, 0, 1<<16)

@@ -53,8 +53,10 @@ func (r *Registry) CkptSave(w *ckpt.Writer) {
 	}
 }
 
-// CkptLoad restores the registry from a checkpoint stream.
+// CkptLoad restores the registry from a checkpoint stream. It bumps the
+// registry generation: histograms may be injected or reshaped in place.
 func (r *Registry) CkptLoad(cr *ckpt.Reader) error {
+	defer r.gen.Add(1)
 	cr.Begin("metrics")
 	ns := cr.Int()
 	if cr.Err() != nil {

@@ -9,6 +9,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -266,17 +267,26 @@ func (h *Histogram) Count() uint64 { return h.total }
 // Sum returns the exact sum of all observations.
 func (h *Histogram) Sum() float64 { return h.sum }
 
-// Buckets calls fn for every bucket in ascending order with the bucket's
-// inclusive upper edge and the cumulative count up to it — the shape a
-// Prometheus histogram exposition needs. The final edge does not cover
-// +Inf; callers append that bucket from Count themselves.
-func (h *Histogram) Buckets(fn func(le float64, cumulative uint64)) {
-	var cum uint64
-	for i, c := range h.counts {
-		cum += c
-		fn(h.min*math.Pow(h.ratio, float64(i+1)), cum)
-	}
+// Geometry identifies a histogram's bucket layout: histograms with equal
+// geometry share every bucket edge, so renderers can format the edges
+// once per geometry rather than once per histogram.
+type Geometry struct {
+	Min, Ratio float64
+	N          int // number of finite buckets
 }
+
+// Edge returns the inclusive upper edge of bucket i.
+func (g Geometry) Edge(i int) float64 { return g.Min * math.Pow(g.Ratio, float64(i+1)) }
+
+// Geometry returns the histogram's bucket layout.
+func (h *Histogram) Geometry() Geometry {
+	return Geometry{Min: h.min, Ratio: h.ratio, N: len(h.counts)}
+}
+
+// BucketCounts returns the per-bucket (non-cumulative) counts, one per
+// Geometry edge; callers must not modify it. The last edge does not
+// cover +Inf: a Prometheus exposition adds that bucket from Count.
+func (h *Histogram) BucketCounts() []uint64 { return h.counts }
 
 // Mean returns the exact mean of all observations.
 func (h *Histogram) Mean() float64 {
@@ -322,8 +332,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 		cum += c
 		if cum >= target {
 			// Upper edge of bucket i, clamped to observed max.
-			edge := h.min * math.Pow(h.ratio, float64(i+1))
-			return math.Min(edge, h.vmax)
+			return math.Min(h.Geometry().Edge(i), h.vmax)
 		}
 	}
 	return h.vmax
@@ -360,6 +369,11 @@ type Registry struct {
 	series     map[string]*Series
 	histograms map[string]*Histogram
 	counters   map[string]*Counter
+
+	// gen counts changes to the instrument set (and checkpoint loads,
+	// which may also reshape histograms in place), so renderers that
+	// cache a per-instrument layout know when to rebuild it.
+	gen atomic.Uint64
 }
 
 // NewRegistry returns an empty registry.
@@ -378,6 +392,7 @@ func (r *Registry) Series(name string) *Series {
 	if !ok {
 		s = NewSeries(name)
 		r.series[name] = s
+		r.gen.Add(1)
 	}
 	r.mu.Unlock()
 	return s
@@ -391,6 +406,7 @@ func (r *Registry) Histogram(name string, min, max float64, bucketsPerDecade int
 	if !ok {
 		h = NewHistogram(min, max, bucketsPerDecade)
 		r.histograms[name] = h
+		r.gen.Add(1)
 	}
 	r.mu.Unlock()
 	return h
@@ -403,10 +419,16 @@ func (r *Registry) Counter(name string) *Counter {
 	if !ok {
 		c = &Counter{Name: name}
 		r.counters[name] = c
+		r.gen.Add(1)
 	}
 	r.mu.Unlock()
 	return c
 }
+
+// Generation returns a number that changes whenever an instrument is
+// created or a checkpoint is loaded into the registry; equal values
+// mean the same instruments with the same histogram geometries.
+func (r *Registry) Generation() uint64 { return r.gen.Load() }
 
 // SeriesNames returns the sorted names of all series.
 func (r *Registry) SeriesNames() []string {

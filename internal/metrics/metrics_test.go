@@ -1,11 +1,14 @@
 package metrics
 
 import (
+	"bytes"
 	"math"
 	"sort"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"evolve/internal/ckpt"
 )
 
 func sec(n float64) time.Duration { return time.Duration(n * float64(time.Second)) }
@@ -267,6 +270,40 @@ func TestRegistry(t *testing.T) {
 	}
 	if len(r.CounterNames()) != 1 {
 		t.Errorf("CounterNames = %v", r.CounterNames())
+	}
+	// The generation moves once per created instrument, never on lookup.
+	if g := r.Generation(); g != 4 {
+		t.Errorf("Generation = %d after creating 4 instruments", g)
+	}
+}
+
+// TestRegistryGenerationCkptLoad: a checkpoint load may inject or
+// reshape histograms in place, so it always moves the generation.
+func TestRegistryGenerationCkptLoad(t *testing.T) {
+	src := NewRegistry()
+	src.Histogram("h", 1e-3, 10, 4).Observe(0.5)
+	var buf bytes.Buffer
+	w := ckpt.NewWriter(&buf)
+	src.CkptSave(w)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	dst := NewRegistry()
+	dst.Histogram("h", 1, 100, 2) // same name, other geometry
+	before := dst.Generation()
+	cr, err := ckpt.NewReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.CkptLoad(cr); err != nil {
+		t.Fatal(err)
+	}
+	if dst.Generation() == before {
+		t.Error("CkptLoad left the generation unchanged")
+	}
+	h, _ := dst.GetHistogram("h")
+	if h.Geometry() != src.Histogram("h", 0, 0, 0).Geometry() {
+		t.Errorf("restored geometry %+v", h.Geometry())
 	}
 }
 
