@@ -92,10 +92,13 @@ bench-obs:
 	$(GO) test ./internal/obs -run 'TestSpan|TestLatency' -bench 'BenchmarkObserveLatency' -benchtime 100x -count 1
 	$(GO) test ./internal/obs -run 'TestWriteMetricsAllocs|TestExposition' -bench 'BenchmarkWriteMetrics' -benchtime 200x -count 1 -v
 
-# fuzz-smoke gives the chaos-plan parser a short fuzzing budget: long
-# enough to catch parse/round-trip regressions, short enough for CI.
+# fuzz-smoke gives the chaos-plan parser and checkpoint restore a short
+# fuzzing budget each: long enough to catch parse/round-trip and
+# hostile-snapshot regressions, short enough for CI. Two workers keep
+# the restore fuzzer's memory small.
 fuzz-smoke:
 	$(GO) test -fuzz FuzzParsePlan -fuzztime 15s -run '^$$' ./internal/chaos
+	$(GO) test -fuzz '^FuzzRestore$$' -fuzztime 15s -parallel 2 -run '^$$' .
 
 # chaos-soak runs the everything-at-once fault profile end to end (the
 # TestChaosSoak harness test plus the mixed-profile CLI path).
@@ -105,11 +108,13 @@ chaos-soak:
 
 # ckpt-soak is the crash-consistency gauntlet: the full shard matrix of
 # the headline byte-identity invariant, the chained crash/restore soak
-# at every shard count, the Table 8 sweep, and the CLI resume path —
-# a run killed at 40m and resumed must print the same report as one
-# that never died.
+# at every shard count, the encoder's allocation gate, the legacy
+# version fixtures and the forged-count bound, the encode/restore
+# benchmarks, the Table 8 sweep, and the CLI resume path — a run killed
+# at 40m and resumed must print the same report as one that never died.
 ckpt-soak:
-	EVOLVE_CKPT_SOAK=1 $(GO) test -run 'TestCheckpoint|TestResumeFromPeriodic|TestCtrlCrash' -count 1 -v .
+	EVOLVE_CKPT_SOAK=1 $(GO) test -run 'TestCheckpoint|TestRestore|TestResumeFromPeriodic|TestCtrlCrash' -count 1 -v .
+	$(GO) test -run '^$$' -bench '^(BenchmarkCheckpoint|BenchmarkRestore)$$' -benchtime 20x -count 1 .
 	$(GO) test ./internal/harness -run 'TestTable8' -count 1
 	rm -rf /tmp/evolve-ckpt-soak && mkdir -p /tmp/evolve-ckpt-soak
 	$(GO) run ./cmd/evolve-sim -seed 7 -duration 40m -ckpt-dir /tmp/evolve-ckpt-soak -ckpt-every 10m 2>/dev/null >/dev/null

@@ -33,10 +33,6 @@ import (
 // streams) to the uninterrupted run, at every shard count, chaos on or
 // off.
 
-// maxCkptTimers bounds the checkpointed timer count (a corrupted stream
-// fails loudly instead of over-allocating).
-const maxCkptTimers = 1 << 24
-
 // EnableCheckpoints arms periodic checkpointing every interval of
 // virtual time, starting at the first Run. Each firing snapshots the
 // world at a tick barrier: the newest encoding is retained in memory
@@ -249,16 +245,39 @@ func (cl *Cluster) Checkpoint(w io.Writer) error {
 // its original firing order. Continue with Run — the continuation is
 // byte-identical to the uninterrupted original.
 func (cl *Cluster) Restore(r io.Reader) error {
+	raw, err := ckpt.ReadAll(r)
+	if err != nil {
+		return fmt.Errorf("evolve: reading checkpoint: %w", err)
+	}
+	return cl.restore(raw)
+}
+
+// RestoreFile restores from a checkpoint file (see EnableCheckpoints
+// and LatestCheckpoint).
+func (cl *Cluster) RestoreFile(path string) error {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	return cl.restore(raw)
+}
+
+// restore decodes the snapshot in raw and keeps raw itself, not a copy,
+// as LastCheckpoint: after a restore, LastCheckpoint is the snapshot
+// this world came from, so a process that restores and then crashes
+// again before the next periodic checkpoint still has a valid restart
+// point.
+func (cl *Cluster) restore(raw []byte) error {
 	if cl.started {
 		return fmt.Errorf("evolve: Restore needs a freshly constructed cluster")
 	}
-	// Keep a copy of the snapshot as it streams past: after a restore,
-	// LastCheckpoint is the snapshot this world came from, so a process
-	// that restores and then crashes again before the next periodic
-	// checkpoint still has a valid restart point.
-	var raw bytes.Buffer
-	cr, err := ckpt.NewReader(io.TeeReader(r, &raw))
+	cr, err := ckpt.NewBytesReader(raw)
 	if err != nil {
+		return err
+	}
+	// The checksum was verified up front: a corrupt snapshot fails here,
+	// before the fresh world is touched.
+	if err := cr.Err(); err != nil {
 		return err
 	}
 	// Arm the fresh world's own timers first: RestoreTimers re-attaches
@@ -275,12 +294,9 @@ func (cl *Cluster) Restore(r io.Reader) error {
 	seq := cr.U64()
 	nsteps := cr.U64()
 	draws := cr.U64()
-	nt := cr.Int()
+	nt := cr.Count(4 * 8)
 	if cr.Err() != nil {
 		return cr.Err()
-	}
-	if nt < 0 || nt > maxCkptTimers {
-		return fmt.Errorf("evolve: checkpoint timer count %d out of range", nt)
 	}
 	timers := make([]sim.PendingTimer, nt)
 	for i := range timers {
@@ -300,12 +316,9 @@ func (cl *Cluster) Restore(r io.Reader) error {
 		coState.ParRounds = cr.U64()
 		coState.RoundsMark = cr.U64()
 		coState.ParMark = cr.U64()
-		ns := cr.Int()
+		ns := cr.Count(3 * 8)
 		if cr.Err() != nil {
 			return cr.Err()
-		}
-		if ns < 0 || ns > maxCkptTimers {
-			return fmt.Errorf("evolve: checkpoint shard count %d out of range", ns)
 		}
 		coState.Shards = make([]sim.ShardClock, ns)
 		for i := range coState.Shards {
@@ -375,23 +388,14 @@ func (cl *Cluster) Restore(r io.Reader) error {
 	if err := cl.eng.RestoreTimers(now, seq, nsteps, timers, rebuild); err != nil {
 		return err
 	}
-	cl.eng.RNG().Burn(draws)
+	if err := cl.eng.RNG().Burn(draws); err != nil {
+		return err
+	}
 	if err := co.RestoreState(coState); err != nil {
 		return err
 	}
-	cl.lastCkpt = raw.Bytes()
+	cl.lastCkpt = raw
 	return cl.runErr
-}
-
-// RestoreFile restores from a checkpoint file (see EnableCheckpoints
-// and LatestCheckpoint).
-func (cl *Cluster) RestoreFile(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return cl.Restore(f)
 }
 
 // LatestCheckpoint returns the path of the newest checkpoint file in

@@ -15,7 +15,7 @@ import (
 // checkpoint barrier, optional mixed chaos, tracing and periodic
 // checkpoints. Every test constructs identical worlds — the checkpoint
 // contract is "same construction + checkpoint = same world".
-func ckptWorld(t *testing.T, shards int, chaos string) *Cluster {
+func ckptWorld(t testing.TB, shards int, chaos string) *Cluster {
 	t.Helper()
 	return ckptWorldCtrl(t, shards, chaos, 0)
 }
@@ -23,7 +23,7 @@ func ckptWorld(t *testing.T, shards int, chaos string) *Cluster {
 // ckptWorldCtrl is ckptWorld with the control plane sharded: worker
 // count is construction-time config, not checkpointed state, so restore
 // tests can also swap it across the barrier.
-func ckptWorldCtrl(t *testing.T, shards int, chaos string, ctrlWorkers int) *Cluster {
+func ckptWorldCtrl(t testing.TB, shards int, chaos string, ctrlWorkers int) *Cluster {
 	t.Helper()
 	c, err := New(Options{Seed: 21, Nodes: 6, Shards: shards, ShardWorkers: 1,
 		CtrlWorkers: ctrlWorkers, Chaos: chaos})

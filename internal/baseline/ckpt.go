@@ -1,10 +1,6 @@
 package baseline
 
-import (
-	"fmt"
-
-	"evolve/internal/ckpt"
-)
+import "evolve/internal/ckpt"
 
 // Checkpoint serialisation for the stateful baselines (Static is
 // stateless and needs none).
@@ -19,12 +15,9 @@ func (h *HPA) CkptSave(w *ckpt.Writer) {
 
 // CkptLoad implements control.StateSaver.
 func (h *HPA) CkptLoad(r *ckpt.Reader) error {
-	n := r.Int()
+	n := r.Count(8)
 	if r.Err() != nil {
 		return r.Err()
-	}
-	if n < 0 || n > 1<<20 {
-		return fmt.Errorf("baseline: ckpt: HPA window length %d out of range", n)
 	}
 	h.recent = make([]int, n)
 	for i := range h.recent {
@@ -46,12 +39,9 @@ func (v *VPA) CkptSave(w *ckpt.Writer) {
 // CkptLoad implements control.StateSaver.
 func (v *VPA) CkptLoad(r *ckpt.Reader) error {
 	for k := range v.hist {
-		n := r.Int()
+		n := r.Count(8)
 		if r.Err() != nil {
 			return r.Err()
-		}
-		if n < 0 || n > 1<<20 {
-			return fmt.Errorf("baseline: ckpt: VPA history length %d out of range", n)
 		}
 		v.hist[k] = make([]float64, n)
 		for i := range v.hist[k] {

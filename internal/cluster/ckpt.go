@@ -30,10 +30,15 @@ import (
 // phaseAppFast reads it when an app's ready count drops to zero, and
 // the lazy rebuild does not set it — so it rides along per app.
 
-// maxCkptItems bounds checkpointed collection sizes (the 1M-pod kernel
-// fits with headroom); a corrupt length prefix fails loudly instead of
-// allocating unbounded memory.
-const maxCkptItems = 1 << 24
+// Minimum encoded sizes of the checkpointed collection elements, for
+// ckpt.Reader.Count: a corrupt length prefix fails loudly instead of
+// allocating beyond the stream's size.
+const (
+	vectorBytes = 8 * int(resource.NumKinds)
+	// minPodBytes covers savePod's fixed fields with empty strings and
+	// selectors and no task.
+	minPodBytes = 4*8 + 8 + vectorBytes + 8 + vectorBytes + 8 + 1 + 6*8 + 1 + 2*8
+)
 
 // delayedApply is one chaos-delayed decision still waiting for its
 // timer; the checkpoint records it so restore can rebuild the timer's
@@ -105,12 +110,9 @@ func saveFloats(w *ckpt.Writer, s []float64) {
 }
 
 func loadFloats(r *ckpt.Reader, dst []float64) ([]float64, error) {
-	n := r.Int()
+	n := r.Count(8)
 	if r.Err() != nil {
 		return nil, r.Err()
-	}
-	if n < 0 || n > maxCkptItems {
-		return nil, fmt.Errorf("cluster: ckpt: float slice length %d out of range", n)
 	}
 	dst = dst[:0]
 	for i := 0; i < n; i++ {
@@ -127,12 +129,9 @@ func saveVectors(w *ckpt.Writer, s []resource.Vector) {
 }
 
 func loadVectors(r *ckpt.Reader, dst []resource.Vector) ([]resource.Vector, error) {
-	n := r.Int()
+	n := r.Count(vectorBytes)
 	if r.Err() != nil {
 		return nil, r.Err()
-	}
-	if n < 0 || n > maxCkptItems {
-		return nil, fmt.Errorf("cluster: ckpt: vector slice length %d out of range", n)
 	}
 	dst = dst[:0]
 	for i := 0; i < n; i++ {
@@ -155,12 +154,9 @@ func saveSelector(w *ckpt.Writer, sel map[string]string) {
 }
 
 func loadSelector(r *ckpt.Reader) (map[string]string, error) {
-	n := r.Int()
+	n := r.Count(2 * 8)
 	if r.Err() != nil {
 		return nil, r.Err()
-	}
-	if n < 0 || n > maxCkptItems {
-		return nil, fmt.Errorf("cluster: ckpt: selector length %d out of range", n)
 	}
 	if n == 0 {
 		return nil, nil
@@ -332,11 +328,17 @@ func (c *Cluster) loadAppState(r *ckpt.Reader, st *appState) error {
 	st.wasViolated = r.Bool()
 	st.decisionAt = r.Dur()
 	st.decisionSpan = r.U64()
-	st.noise.Burn(r.U64())
-	st.chaosRNG.Burn(r.U64())
+	noiseDraws := r.U64()
+	chaosDraws := r.U64()
 	st.rc.contrib = r.Int()
 	st.rc.ok = false
-	return r.Err()
+	if r.Err() != nil {
+		return r.Err()
+	}
+	if err := st.noise.Burn(noiseDraws); err != nil {
+		return err
+	}
+	return st.chaosRNG.Burn(chaosDraws)
 }
 
 // CkptSave serialises the cluster's full mutable state. Must be called
@@ -419,12 +421,9 @@ func (c *Cluster) CkptLoad(r *ckpt.Reader, reattach func(p *PodObject) (func(str
 	c.podSeq = r.U64()
 	c.delaySeq = r.U64()
 
-	npa := r.Int()
+	npa := r.Count(3*8 + vectorBytes)
 	if r.Err() != nil {
 		return r.Err()
-	}
-	if npa < 0 || npa > maxCkptItems {
-		return fmt.Errorf("cluster: ckpt: delayed-apply count %d out of range", npa)
 	}
 	c.pendingApply = make(map[string]delayedApply, npa)
 	for i := 0; i < npa; i++ {
@@ -448,7 +447,7 @@ func (c *Cluster) CkptLoad(r *ckpt.Reader, reattach func(p *PodObject) (func(str
 		}
 	}
 
-	nn := r.Int()
+	nn := r.Count(8)
 	if r.Err() != nil {
 		return r.Err()
 	}
@@ -471,7 +470,7 @@ func (c *Cluster) CkptLoad(r *ckpt.Reader, reattach func(p *PodObject) (func(str
 		n.pc.ok = false
 	}
 
-	na := r.Int()
+	na := r.Count(8)
 	if r.Err() != nil {
 		return r.Err()
 	}
@@ -484,12 +483,9 @@ func (c *Cluster) CkptLoad(r *ckpt.Reader, reattach func(p *PodObject) (func(str
 		}
 	}
 
-	np := r.Int()
+	np := r.Count(minPodBytes)
 	if r.Err() != nil {
 		return r.Err()
-	}
-	if np < 0 || np > maxCkptItems {
-		return fmt.Errorf("cluster: ckpt: pod count %d out of range", np)
 	}
 	for i := 0; i < np; i++ {
 		p, err := loadPod(r)
@@ -523,11 +519,11 @@ func (c *Cluster) CkptLoad(r *ckpt.Reader, reattach func(p *PodObject) (func(str
 	}
 
 	dropped := r.U64()
-	ne := r.Int()
+	ne := r.Count(4 * 8)
 	if r.Err() != nil {
 		return r.Err()
 	}
-	if ne < 0 || ne > eventLogCapacity {
+	if ne > eventLogCapacity {
 		return fmt.Errorf("cluster: ckpt: event count %d out of range", ne)
 	}
 	c.events = eventLog{}

@@ -103,7 +103,7 @@ func (l *Loop) saveCtrlState(w *ckpt.Writer) {
 
 func (l *Loop) loadCtrlState(r *ckpt.Reader) error {
 	r.Begin("loop-ctrl")
-	n := r.Int()
+	n := r.Count(8)
 	if r.Err() != nil {
 		return r.Err()
 	}
@@ -193,17 +193,20 @@ func (l *Loop) CkptLoad(r *ckpt.Reader) error {
 	if err := l.loadCtrlState(r); err != nil {
 		return err
 	}
-	l.rng.Burn(r.U64())
-	ng := r.Int()
+	draws := r.U64()
+	ng := r.Count(16)
 	if r.Err() != nil {
 		return r.Err()
+	}
+	if err := l.rng.Burn(draws); err != nil {
+		return err
 	}
 	l.retryGen = make(map[string]uint64, ng)
 	for i := 0; i < ng; i++ {
 		app := r.Str()
 		l.retryGen[app] = r.U64()
 	}
-	np := r.Int()
+	np := r.Count(2*8 + 8 + 8*int(resource.NumKinds) + 2*8)
 	if r.Err() != nil {
 		return r.Err()
 	}
@@ -262,7 +265,7 @@ func (l *Loop) SaveState() ([]byte, error) {
 // LoadState restores controller-process state from a SaveState blob; the
 // ctrl-crash restore path calls it just before Restart.
 func (l *Loop) LoadState(blob []byte) error {
-	r, err := ckpt.NewReader(bytes.NewReader(blob))
+	r, err := ckpt.NewBytesReader(blob)
 	if err != nil {
 		return err
 	}

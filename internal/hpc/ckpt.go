@@ -9,7 +9,9 @@ import (
 	"evolve/internal/resource"
 )
 
-const maxCkptItems = 1 << 20
+// minJobBytes is the smallest encoded job (for ckpt.Reader.Count): a
+// spec with an empty name and selector, then the job's lifecycle.
+const minJobBytes = 8 + 8 + 2*8*int(resource.NumKinds) + 8 + 8 + 8 + 8 + 3*8 + 3 + 4*8
 
 func saveSpec(w *ckpt.Writer, spec *JobSpec) {
 	w.Str(spec.Name)
@@ -39,12 +41,9 @@ func loadSpec(r *ckpt.Reader) (JobSpec, error) {
 	spec.Model = perf.TaskModel{Work: resource.LoadVector(r), MemSet: r.F64()}
 	spec.Priority = r.Int()
 	spec.MaxRestarts = r.Int()
-	nl := r.Int()
+	nl := r.Count(2 * 8)
 	if r.Err() != nil {
 		return spec, r.Err()
-	}
-	if nl < 0 || nl > maxCkptItems {
-		return spec, fmt.Errorf("hpc: ckpt: selector count %d out of range", nl)
 	}
 	if nl > 0 {
 		spec.NodeSelector = make(map[string]string, nl)
@@ -92,12 +91,9 @@ func (q *Queue) CkptSave(w *ckpt.Writer) {
 // (ReattachRank), driven by the cluster's live task pods.
 func (q *Queue) CkptLoad(r *ckpt.Reader) error {
 	r.Begin("hpc")
-	nj := r.Int()
+	nj := r.Count(minJobBytes)
 	if r.Err() != nil {
 		return r.Err()
-	}
-	if nj < 0 || nj > maxCkptItems {
-		return fmt.Errorf("hpc: ckpt: job count %d out of range", nj)
 	}
 	q.all = make(map[string]*jobState, nj)
 	for i := 0; i < nj; i++ {
@@ -118,12 +114,9 @@ func (q *Queue) CkptLoad(r *ckpt.Reader) error {
 		js.aborted = r.Int()
 		q.all[spec.Name] = js
 	}
-	np := r.Int()
+	np := r.Count(8)
 	if r.Err() != nil {
 		return r.Err()
-	}
-	if np < 0 || np > maxCkptItems {
-		return fmt.Errorf("hpc: ckpt: pending count %d out of range", np)
 	}
 	q.pending = q.pending[:0]
 	for i := 0; i < np; i++ {

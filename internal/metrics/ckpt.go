@@ -1,10 +1,6 @@
 package metrics
 
-import (
-	"fmt"
-
-	"evolve/internal/ckpt"
-)
+import "evolve/internal/ckpt"
 
 // Checkpoint serialisation for the telemetry registry. Instruments are
 // restored in place when they already exist on the live registry — the
@@ -58,18 +54,15 @@ func (r *Registry) CkptSave(w *ckpt.Writer) {
 func (r *Registry) CkptLoad(cr *ckpt.Reader) error {
 	defer r.gen.Add(1)
 	cr.Begin("metrics")
-	ns := cr.Int()
+	ns := cr.Count(2 * 8)
 	if cr.Err() != nil {
 		return cr.Err()
 	}
 	for i := 0; i < ns; i++ {
 		name := cr.Str()
-		n := cr.Int()
+		n := cr.Count(2 * 8)
 		if cr.Err() != nil {
 			return cr.Err()
-		}
-		if n < 0 || n > maxCkptSamples {
-			return fmt.Errorf("metrics: ckpt: series %q sample count %d out of range", name, n)
 		}
 		s := r.Series(name)
 		samples := make([]Sample, n)
@@ -80,19 +73,16 @@ func (r *Registry) CkptLoad(cr *ckpt.Reader) error {
 		s.samples = samples
 		s.sorted, s.sortedLen = nil, 0
 	}
-	nh := cr.Int()
+	nh := cr.Count(minHistogramBytes)
 	if cr.Err() != nil {
 		return cr.Err()
 	}
 	for i := 0; i < nh; i++ {
 		name := cr.Str()
 		min, max, ratio := cr.F64(), cr.F64(), cr.F64()
-		nb := cr.Int()
+		nb := cr.Count(8)
 		if cr.Err() != nil {
 			return cr.Err()
-		}
-		if nb < 0 || nb > maxCkptSamples {
-			return fmt.Errorf("metrics: ckpt: histogram %q bucket count %d out of range", name, nb)
 		}
 		counts := make([]uint64, nb)
 		for j := range counts {
@@ -111,7 +101,7 @@ func (r *Registry) CkptLoad(cr *ckpt.Reader) error {
 		h.vmin = cr.F64()
 		h.vmax = cr.F64()
 	}
-	nc := cr.Int()
+	nc := cr.Count(2 * 8)
 	if cr.Err() != nil {
 		return cr.Err()
 	}
@@ -123,7 +113,8 @@ func (r *Registry) CkptLoad(cr *ckpt.Reader) error {
 	return cr.Err()
 }
 
-// maxCkptSamples bounds per-instrument element counts against corrupt
-// length prefixes (the checksum catches corruption, but only after the
-// stream has been consumed).
-const maxCkptSamples = 1 << 28
+// minHistogramBytes is the smallest encoded histogram: name, geometry,
+// an empty bucket list and the summary fields. Every length prefix goes
+// through ckpt.Reader.Count, which bounds it by the bytes left, so a
+// corrupt count cannot allocate more than the stream's own size.
+const minHistogramBytes = 8 + 3*8 + 8 + 4*8

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"evolve/internal/ckpt"
+	"evolve/internal/resource"
 )
 
 // SaveControlTrace writes a controller decision decomposition; the
@@ -86,10 +87,111 @@ func loadLatHist(r *ckpt.Reader, h *LatencyHistogram) error {
 	return r.Err()
 }
 
-// CkptSave writes the tracer's full state: both rings (as the same JSONL
-// encoding the sinks receive — it round-trips exactly), sequence and
-// drop counters, and the latency histograms. Sinks and their latched
-// errors are caller-owned wiring and deliberately excluded.
+// saveEvent writes one ring event as a fixed binary record; the PID
+// decomposition follows only when HasCtrl is set.
+func saveEvent(w *ckpt.Writer, ev *Event) {
+	w.U64(ev.Seq)
+	w.Dur(ev.At)
+	w.U8(uint8(ev.Kind))
+	w.Str(ev.Verb)
+	w.Str(ev.App)
+	w.Str(ev.Object)
+	w.Str(ev.Node)
+	w.Str(ev.Detail)
+	w.F64(ev.PerfErr)
+	w.F64(ev.SLI)
+	w.F64(ev.Objective)
+	w.F64(ev.Offered)
+	w.Int(ev.Replicas)
+	w.Int(ev.Ready)
+	w.Int(ev.NewReplicas)
+	ev.Alloc.CkptSave(w)
+	ev.NewAlloc.CkptSave(w)
+	ev.Util.CkptSave(w)
+	w.Bool(ev.HasCtrl)
+	if ev.HasCtrl {
+		SaveControlTrace(w, ev.Ctrl)
+	}
+}
+
+// loadEvent reads a record written by saveEvent.
+func loadEvent(r *ckpt.Reader, ev *Event) error {
+	ev.Seq = r.U64()
+	ev.At = r.Dur()
+	ev.Kind = Kind(r.U8())
+	ev.Verb = r.Str()
+	ev.App = r.Str()
+	ev.Object = r.Str()
+	ev.Node = r.Str()
+	ev.Detail = r.Str()
+	ev.PerfErr = r.F64()
+	ev.SLI = r.F64()
+	ev.Objective = r.F64()
+	ev.Offered = r.F64()
+	ev.Replicas = r.Int()
+	ev.Ready = r.Int()
+	ev.NewReplicas = r.Int()
+	ev.Alloc = resource.LoadVector(r)
+	ev.NewAlloc = resource.LoadVector(r)
+	ev.Util = resource.LoadVector(r)
+	ev.HasCtrl = r.Bool()
+	if ev.HasCtrl {
+		ev.Ctrl = LoadControlTrace(r)
+	}
+	if r.Err() != nil {
+		return r.Err()
+	}
+	if ev.Kind >= numKinds {
+		return fmt.Errorf("obs: ckpt: event %d has kind %d", ev.Seq, ev.Kind)
+	}
+	return nil
+}
+
+// saveSpan writes one ring span as a fixed binary record.
+func saveSpan(w *ckpt.Writer, sp *Span) {
+	w.U64(sp.ID)
+	w.U64(sp.Parent)
+	w.U8(uint8(sp.Kind))
+	w.Str(sp.App)
+	w.Str(sp.Object)
+	w.Str(sp.Node)
+	w.Str(sp.Detail)
+	w.I64(int64(sp.Shard))
+	w.Dur(sp.Start)
+	w.Dur(sp.End)
+	w.I64(sp.WallNs)
+}
+
+// loadSpan reads a record written by saveSpan.
+func loadSpan(r *ckpt.Reader, sp *Span) error {
+	sp.ID = r.U64()
+	sp.Parent = r.U64()
+	sp.Kind = SpanKind(r.U8())
+	sp.App = r.Str()
+	sp.Object = r.Str()
+	sp.Node = r.Str()
+	sp.Detail = r.Str()
+	shard := r.I64()
+	sp.Shard = int32(shard)
+	sp.Start = r.Dur()
+	sp.End = r.Dur()
+	sp.WallNs = r.I64()
+	if r.Err() != nil {
+		return r.Err()
+	}
+	if sp.Kind >= numSpanKinds {
+		return fmt.Errorf("obs: ckpt: span %d has kind %d", sp.ID, sp.Kind)
+	}
+	if int64(sp.Shard) != shard {
+		return fmt.Errorf("obs: ckpt: span %d has shard %d", sp.ID, shard)
+	}
+	return nil
+}
+
+// CkptSave writes the tracer's full state: both rings as binary records
+// (oldest first), sequence and drop counters, and the latency
+// histograms. Sinks and their latched errors are caller-owned wiring and
+// deliberately excluded.
 func (t *Tracer) CkptSave(w *ckpt.Writer) {
 	w.Begin("tracer")
 	w.Bool(t.Enabled())
@@ -101,44 +203,30 @@ func (t *Tracer) CkptSave(w *ckpt.Writer) {
 	w.Int(len(t.buf))
 	w.U64(t.seq)
 	w.U64(t.dropped)
-	var n int
+	old, recent := t.buf[:0], t.buf[:t.next]
 	if t.wrapped {
-		n = len(t.buf)
-	} else {
-		n = t.next
+		old = t.buf[t.next:]
 	}
-	w.Int(n)
-	var enc []byte
-	emit := func(evs []Event) {
+	w.Int(len(old) + len(recent))
+	for _, evs := range [2][]Event{old, recent} {
 		for i := range evs {
-			enc = AppendJSON(enc[:0], &evs[i])
-			w.Bytes(enc)
+			saveEvent(w, &evs[i])
 		}
 	}
-	if t.wrapped {
-		emit(t.buf[t.next:])
-	}
-	emit(t.buf[:t.next])
 
 	w.Int(len(t.spans))
 	w.U64(t.spanSeq)
 	w.U64(t.spanDropped)
+	oldSp, recentSp := t.spans[:0], t.spans[:t.spanNext]
 	if t.spanWrapped {
-		n = len(t.spans)
-	} else {
-		n = t.spanNext
+		oldSp = t.spans[t.spanNext:]
 	}
-	w.Int(n)
-	emitSpans := func(sps []Span) {
+	w.Int(len(oldSp) + len(recentSp))
+	for _, sps := range [2][]Span{oldSp, recentSp} {
 		for i := range sps {
-			enc = AppendSpanJSON(enc[:0], &sps[i])
-			w.Bytes(enc)
+			saveSpan(w, &sps[i])
 		}
 	}
-	if t.spanWrapped {
-		emitSpans(t.spans[t.spanNext:])
-	}
-	emitSpans(t.spans[:t.spanNext])
 
 	for k := range t.lat {
 		saveLatHist(w, &t.lat[k])
@@ -156,7 +244,9 @@ func (t *Tracer) CkptSave(w *ckpt.Writer) {
 // CkptLoad restores state written by CkptSave into a tracer constructed
 // with the same capacity. The ring is rebuilt in canonical rotation
 // (oldest at index 0) — rotation is unobservable through Snapshot and
-// subsequent records. Sinks should be attached after the load.
+// subsequent records. Sinks should be attached after the load. Streams
+// before format version 3 carry each ring record as one JSON line (the
+// sink encoding), decoded with ParseEvent and ParseSpan.
 func (t *Tracer) CkptLoad(r *ckpt.Reader) error {
 	r.Begin("tracer")
 	enabled := r.Bool()
@@ -169,6 +259,7 @@ func (t *Tracer) CkptLoad(r *ckpt.Reader) error {
 	if !enabled {
 		return nil
 	}
+	records := r.Version() >= 3
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if c := r.Int(); c != len(t.buf) {
@@ -176,25 +267,27 @@ func (t *Tracer) CkptLoad(r *ckpt.Reader) error {
 	}
 	t.seq = r.U64()
 	t.dropped = r.U64()
-	n := r.Int()
+	n := r.Count(8) // every record, binary or JSON, takes at least 8 bytes
 	if r.Err() != nil {
 		return r.Err()
 	}
-	if n < 0 || n > len(t.buf) {
+	if n > len(t.buf) {
 		return fmt.Errorf("obs: ckpt: event count %d exceeds ring %d", n, len(t.buf))
 	}
-	for i := range t.buf {
-		t.buf[i] = Event{}
-	}
+	clear(t.buf)
 	for i := 0; i < n; i++ {
-		ev, err := ParseEvent(r.Bytes())
+		var err error
+		if records {
+			err = loadEvent(r, &t.buf[i])
+		} else {
+			t.buf[i], err = ParseEvent(r.Bytes())
+		}
 		if r.Err() != nil {
 			return r.Err()
 		}
 		if err != nil {
 			return err
 		}
-		t.buf[i] = ev
 	}
 	t.wrapped = n == len(t.buf)
 	if t.wrapped {
@@ -208,25 +301,27 @@ func (t *Tracer) CkptLoad(r *ckpt.Reader) error {
 	}
 	t.spanSeq = r.U64()
 	t.spanDropped = r.U64()
-	n = r.Int()
+	n = r.Count(8)
 	if r.Err() != nil {
 		return r.Err()
 	}
-	if n < 0 || n > len(t.spans) {
+	if n > len(t.spans) {
 		return fmt.Errorf("obs: ckpt: span count %d exceeds ring %d", n, len(t.spans))
 	}
-	for i := range t.spans {
-		t.spans[i] = Span{}
-	}
+	clear(t.spans)
 	for i := 0; i < n; i++ {
-		sp, err := ParseSpan(r.Bytes())
+		var err error
+		if records {
+			err = loadSpan(r, &t.spans[i])
+		} else {
+			t.spans[i], err = ParseSpan(r.Bytes())
+		}
 		if r.Err() != nil {
 			return r.Err()
 		}
 		if err != nil {
 			return err
 		}
-		t.spans[i] = sp
 	}
 	t.spanWrapped = n == len(t.spans)
 	if t.spanWrapped {
@@ -240,12 +335,9 @@ func (t *Tracer) CkptLoad(r *ckpt.Reader) error {
 			return err
 		}
 	}
-	np := r.Int()
+	np := r.Count(1) // a presence flag at least
 	if r.Err() != nil {
 		return r.Err()
-	}
-	if np < 0 || np > 1<<16 {
-		return fmt.Errorf("obs: ckpt: phase histogram count %d out of range", np)
 	}
 	t.phase = t.phase[:0]
 	for i := 0; i < np; i++ {

@@ -67,12 +67,9 @@ func (t *Tuner) CkptSave(w *ckpt.Writer) {
 
 // CkptLoad restores the tuner's mutable state.
 func (t *Tuner) CkptLoad(r *ckpt.Reader) error {
-	n := r.Int()
+	n := r.Count(8)
 	if r.Err() != nil {
 		return r.Err()
-	}
-	if n < 0 || n > 1<<20 {
-		return fmt.Errorf("pid: ckpt: tuner window length %d out of range", n)
 	}
 	t.errs = make([]float64, n)
 	for i := range t.errs {

@@ -396,18 +396,31 @@ func (g *RNG) Seed() int64 { return g.seed }
 // position a checkpoint records.
 func (g *RNG) Draws() uint64 { return g.src.n }
 
+// maxBurn bounds how far one Burn may advance a stream. The source
+// cannot jump, so Burn costs one step per draw (about 4 ns). The busiest
+// stream, the chaos injector's shared one, draws about once per app per
+// control period: at 512 apps and 15 s periods the bound is a year of
+// virtual time, while a forged checkpoint position fails after a few
+// seconds instead of spinning for centuries.
+const maxBurn = 1 << 30
+
 // Burn advances the source to stream position n (absolute, not
 // relative): a restore seeds a fresh RNG and burns it to the
-// checkpointed Draws. Burning behind the current position panics — it
-// would mean the restored stream silently rewound.
-func (g *RNG) Burn(n uint64) {
+// checkpointed Draws. Burning behind the current position errors — it
+// would mean the restored stream silently rewound — and so does burning
+// more than maxBurn steps ahead.
+func (g *RNG) Burn(n uint64) error {
 	if n < g.src.n {
-		panic(fmt.Sprintf("sim: RNG Burn(%d) behind current position %d", n, g.src.n))
+		return fmt.Errorf("sim: RNG Burn(%d) behind current position %d", n, g.src.n)
+	}
+	if n-g.src.n > maxBurn {
+		return fmt.Errorf("sim: RNG Burn(%d) is more than %d draws past position %d", n, maxBurn, g.src.n)
 	}
 	for g.src.n < n {
 		g.src.n++
 		g.src.src.Uint64()
 	}
+	return nil
 }
 
 // Fork derives an independent child source; use one child per model

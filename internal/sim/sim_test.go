@@ -413,3 +413,30 @@ func TestEveryFiringAllocationFree(t *testing.T) {
 		t.Errorf("periodic firing allocates %.1f objects, want 0", allocs)
 	}
 }
+
+// TestRNGBurn: burning a fresh source to a recorded position reproduces
+// the stream from there; a position behind the source, or one further
+// ahead than a restore can plausibly need, is an error, not a panic or
+// a years-long spin.
+func TestRNGBurn(t *testing.T) {
+	a := NewRNG(7)
+	for i := 0; i < 10; i++ {
+		a.Float64()
+	}
+	b := NewRNG(7)
+	if err := b.Burn(a.Draws()); err != nil {
+		t.Fatal(err)
+	}
+	if x, y := a.Float64(), b.Float64(); x != y {
+		t.Fatalf("burned stream diverged: %v vs %v", x, y)
+	}
+	if err := b.Burn(b.Draws() - 1); err == nil {
+		t.Error("burning behind the current position succeeded")
+	}
+	if err := b.Burn(b.Draws() + maxBurn + 1); err == nil {
+		t.Error("burning past the bound succeeded")
+	}
+	if err := b.Burn(1 << 63); err == nil {
+		t.Error("burning to a forged position succeeded")
+	}
+}
