@@ -46,6 +46,7 @@ const goldenChaos = "node-crash@12m-18m:node=node-0;metric-drop@5m:p=0.2;" +
 type goldenScenario struct {
 	name  string
 	nodes int
+	pools []PoolOptions // replaces the flat nodes topology when set
 	build func(c *Cluster) error
 }
 
@@ -73,13 +74,13 @@ func goldenDiurnal(i int) LoadFunc {
 }
 
 var goldenScenarios = []goldenScenario{
-	{"steady", 16, func(c *Cluster) error {
+	{"steady", 16, nil, func(c *Cluster) error {
 		return goldenServices(c, 12, 4, func(i int) LoadFunc { return Noisy(Constant(640), 0.05, int64(i)) })
 	}},
-	{"diurnal", 6, func(c *Cluster) error {
+	{"diurnal", 6, nil, func(c *Cluster) error {
 		return goldenServices(c, 10, 4, goldenDiurnal)
 	}},
-	{"converged", 10, func(c *Cluster) error {
+	{"converged", 10, nil, func(c *Cluster) error {
 		if err := goldenServices(c, 6, 3, goldenDiurnal); err != nil {
 			return err
 		}
@@ -94,6 +95,31 @@ var goldenScenarios = []goldenScenario{
 		return nil
 	}},
 }
+
+// backlogScenario keeps a pending backlog through every diurnal peak:
+// more service replicas than two small pools hold, priority-0 batch
+// tasks for the priority-100 replicas to preempt, and one service
+// confined to pool a. It runs outside the full matrix (see goldenCases).
+var backlogScenario = goldenScenario{"backlog", 0, []PoolOptions{{Name: "a", Nodes: 3}, {Name: "b", Nodes: 3}}, func(c *Cluster) error {
+	if err := goldenServices(c, 5, 3, goldenDiurnal); err != nil {
+		return err
+	}
+	if err := c.AddService(ServiceOptions{
+		Name: "pinned", Archetype: "inference", BaseRate: 640, Replicas: 4,
+		StartupDelay: 20 * time.Second, Pool: "a",
+	}); err != nil {
+		return err
+	}
+	if err := c.SetLoad("pinned", goldenDiurnal(5)); err != nil {
+		return err
+	}
+	for i, at := 0, time.Minute; at <= 25*time.Minute; i, at = i+1, at+4*time.Minute {
+		if err := c.SubmitBatchJob(BatchJobOptions{Name: fmt.Sprintf("sort-%02d", i), Scale: 2, SubmitAt: at}); err != nil {
+			return err
+		}
+	}
+	return nil
+}}
 
 // goldenCase is one cell of the matrix.
 type goldenCase struct {
@@ -116,9 +142,16 @@ func (g goldenCase) name() string {
 }
 
 // goldenCases enumerates 3 scenarios × chaos on/off × traced/untraced ×
-// shards {1,4} × ctrl-workers {1,4}.
+// shards {1,4} × ctrl-workers {1,4}, plus the backlog scenario clean at
+// 1 shard, traced and untraced, through the serial (ctrl=1) and the
+// batched (ctrl=4) drain.
 func goldenCases() []goldenCase {
 	var out []goldenCase
+	for _, traced := range []bool{false, true} {
+		for _, workers := range []int{1, 4} {
+			out = append(out, goldenCase{backlogScenario, false, traced, 1, workers})
+		}
+	}
 	for _, sc := range goldenScenarios {
 		for _, chaos := range []bool{false, true} {
 			for _, traced := range []bool{false, true} {
@@ -138,7 +171,7 @@ func goldenCases() []goldenCase {
 func goldenDigest(t *testing.T, g goldenCase) string {
 	t.Helper()
 	opts := Options{
-		Seed: 7, Nodes: g.sc.nodes, MeasurementNoise: 0.05,
+		Seed: 7, Nodes: g.sc.nodes, Pools: g.sc.pools, MeasurementNoise: 0.05,
 		Shards: g.shards, ShardWorkers: g.shards, CtrlWorkers: g.ctrlWorkers,
 	}
 	if g.chaos {
