@@ -55,7 +55,7 @@ bench-control:
 	$(GO) test ./internal/harness -run 'TestCtrlWorkers|TestFigure12' -count 1 -v
 	$(GO) test ./internal/control -run 'TestLoopWorkersDeterministic|TestControlEvalAllocs' -count 1
 	$(GO) test ./internal/sched -run 'TestScheduleBatch|TestDisjointCandidates' -count 1
-	$(GO) test ./internal/cluster -run 'TestDrainBatched' -count 1
+	$(GO) test ./internal/cluster -run 'TestDrainBatched|TestDrainMatchesReference' -count 1
 
 # bench-compare guards the committed scale trajectory: the newest
 # record's kernel rows must not regress ms_per_tick or shard speedup —
@@ -72,11 +72,12 @@ bench-compare:
 
 # bench-sched is the scheduler hot-path regression smoke: the sched
 # benchmarks at a fixed iteration count (so -benchtime noise cannot mask
-# a panic or a blow-up) plus the steady-state allocation gates — a
-# regression in either fails the job.
+# a panic or a blow-up) plus the steady-state allocation gates, the
+# unschedulable-backlog drain's included — a regression in either fails
+# the job.
 bench-sched:
 	$(GO) test ./internal/sched -run 'SteadyStateAllocs' -bench . -benchtime 100x -count 1 -v
-	$(GO) test ./internal/cluster -run 'TestTickSteadyStateAllocs' -bench 'BenchmarkScheduleGang|BenchmarkSchedulePending/pods-500$$' -benchtime 20x -count 1
+	$(GO) test ./internal/cluster -run 'TestTickSteadyStateAllocs|TestDrainBacklogAllocs' -bench 'BenchmarkScheduleGang|BenchmarkSchedulePending/pods-500$$|BenchmarkSchedulePending/backlog' -benchtime 20x -count 1
 
 # bench-obs is the observability overhead job: the span-off vs span-on
 # tick pair (BenchmarkTick vs BenchmarkTickTraced — installing a tracer

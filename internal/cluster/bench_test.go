@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"evolve/internal/race"
 	"evolve/internal/resource"
 	"evolve/internal/sched"
 	"evolve/internal/sim"
@@ -110,7 +111,9 @@ func benchSchedulePending(b *testing.B, pods, nodes int) {
 // BenchmarkSchedulePending measures draining a full pending backlog: the
 // cluster starts with every replica unbound, and one call places them
 // all. The nodes-512 case fixes the node count at the parallel-scoring
-// threshold scale while the backlog stays at 5000 pods.
+// threshold scale while the backlog stays at 5000 pods. The backlog case
+// is one round over a backlog nothing in the full cluster can place or
+// preempt for — the state the drain sits in through a load peak.
 func BenchmarkSchedulePending(b *testing.B) {
 	for _, pods := range benchSizes {
 		b.Run(fmt.Sprintf("pods-%d", pods), func(b *testing.B) {
@@ -120,6 +123,71 @@ func BenchmarkSchedulePending(b *testing.B) {
 	b.Run("pods-5000/nodes-512", func(b *testing.B) {
 		benchSchedulePending(b, 5000, 512)
 	})
+	b.Run("backlog-2000/nodes-128", func(b *testing.B) {
+		c := newBacklogCluster(b, 2000, 128)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.SchedulePendingNow()
+		}
+	})
+}
+
+// newBacklogCluster packs `nodes` nodes with priority-100 replicas, three
+// per node, then queues about `pods` more that fit nowhere: replicas of
+// several services at the same priority (nothing to preempt) and
+// priority-0 tasks (which never preempt), in a few shapes each.
+func newBacklogCluster(tb testing.TB, pods, nodes int) *Cluster {
+	tb.Helper()
+	eng := sim.NewEngine(7)
+	c := New(eng, DefaultConfig())
+	if err := c.AddNodes("n", nodes, resource.New(64000, 256<<30, 4e9, 8e9)); err != nil {
+		tb.Fatal(err)
+	}
+	service := func(name string, replicas int, cpu float64) {
+		spec := testService(name)
+		spec.InitialReplicas = replicas
+		spec.MaxReplicas = replicas
+		spec.InitialAlloc = resource.New(cpu, 1<<30, 10e6, 10e6)
+		spec.MaxAlloc = resource.New(64000, 64<<30, 1e9, 1e9)
+		if err := c.CreateService(spec); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	service("base", 3*nodes, 20000) // 60000 of the 60160 allocatable mc
+	c.SchedulePendingNow()
+	shapes := []float64{1000, 2000, 4000, 8000}
+	for i := 0; i < pods/2/25; i++ {
+		service(fmt.Sprintf("svc-%d", i), 25, shapes[i%len(shapes)])
+	}
+	for i := 0; i < pods/2; i++ {
+		if err := c.SubmitTask(testTask(fmt.Sprintf("task-%d", i), shapes[i%len(shapes)], 1e6)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if got := len(c.PendingPods()); got < pods {
+		tb.Fatalf("backlog holds %d pods, want at least %d", got, pods)
+	}
+	return c
+}
+
+// TestDrainBacklogAllocs gates the drain's failure path: an untraced
+// round over a backlog that cannot be placed or preempted must not
+// allocate. Each failing pod costs a placement probe at most — the
+// unschedulable diagnosis is built only when traced.
+func TestDrainBacklogAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates")
+	}
+	c := newBacklogCluster(t, 400, 16)
+	c.SchedulePendingNow() // size the queue and failed-shape scratch
+	allocs := testing.AllocsPerRun(20, c.SchedulePendingNow)
+	if allocs != 0 {
+		t.Errorf("untraced backlog drain round allocates %.1f objects, want 0", allocs)
+	}
+	if n := c.met.Counter("sched/binds").Value(); n != 3*16 {
+		t.Errorf("%d binds, want only the 48 base replicas", n)
+	}
 }
 
 // BenchmarkScheduleGang measures hypothetical all-or-nothing gang

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"maps"
 	"time"
 
 	"evolve/internal/chaos"
@@ -173,6 +174,11 @@ type Cluster struct {
 	batchPods    []sched.PodInfo   // drain batching: current batch's views
 	batchRes     []sched.BatchResult
 	h            *clusterHandles
+
+	// failed holds the pod shapes (requests, priority, selector) that
+	// failed placement — and preemption, when they may preempt — against
+	// snap since its last rebuild (see schedOne).
+	failed []sched.PodInfo
 
 	// Sharded kernel (one shard when Config.Shards <= 1). co drives the
 	// shard engines under the primary clock; shards holds each shard's
@@ -629,13 +635,28 @@ func (c *Cluster) schedulePending() {
 	}
 }
 
-// schedOne is the serial per-pod placement step of the drain: schedule,
+// schedOne is the serial per-pod placement step of the drain: place,
 // bind, patch the snapshot; absorb bind faults; on rejection count it,
 // trace it, and try priority preemption.
+//
+// A pod whose shape already failed since the last snapshot rebuild is
+// rejected without probing (failedShape): the answer cannot have
+// changed. Between rebuilds the snapshot only gains commits and node
+// drains, both of which only shrink headroom, so under the standard
+// filter chain placement still fails. Preemption still fails too: the
+// queue is priority-descending, so every pod committed since the first
+// failure has the same priority as the shape and can never be its
+// victim — each node's candidate victims are unchanged while its
+// headroom only shrank. The rejection itself — counter, and when traced
+// the event with a diagnosis of the current snapshot — is recorded
+// exactly as a probed failure would record it.
 func (c *Cluster) schedOne(p *PodObject) {
 	info := sched.PodInfo{Name: p.Name, App: p.App, Requests: p.Requests, Priority: p.Priority, NodeSelector: p.NodeSelector}
-	nodeName, err := c.sch.ScheduleOn(info, c.snap)
-	if err == nil {
+	if c.failedShape(&info) {
+		c.reject(p, &info)
+		return
+	}
+	if nodeName, ok := c.sch.Place(info, c.snap); ok {
 		if berr := c.bind(p, nodeName); berr != nil {
 			// The node vanished between the placement decision and the
 			// bind (mid-round failure). Absorb the fault, rebuild the
@@ -647,39 +668,66 @@ func (c *Cluster) schedOne(p *PodObject) {
 		c.snap.Commit(nodeName, info)
 		return
 	}
+	c.reject(p, &info)
+	if p.Priority > 0 {
+		if plan := c.sch.Preempt(info, c.snap.Nodes()); plan != nil {
+			c.preempt(p, plan)
+			return
+		}
+	}
+	if c.sch.StandardFilters() {
+		c.failed = append(c.failed, info)
+	}
+}
+
+// failedShape reports whether a pod with the same requests, priority and
+// node selector as info failed placement (and preemption) since the last
+// snapshot rebuild.
+func (c *Cluster) failedShape(info *sched.PodInfo) bool {
+	for i := range c.failed {
+		f := &c.failed[i]
+		if f.Requests == info.Requests && f.Priority == info.Priority && maps.Equal(f.NodeSelector, info.NodeSelector) {
+			return true
+		}
+	}
+	return false
+}
+
+// reject counts an unschedulable pod and, when traced, records why. The
+// diagnosis probes every node and formats a message, so it is built only
+// for the trace event that reads it.
+func (c *Cluster) reject(p *PodObject, info *sched.PodInfo) {
 	c.met.Counter("sched/unschedulable").Inc()
 	if c.tracer.Enabled() {
-		// Rejections are rare (the pod stays pending) so the error
-		// formatting stays off the steady-state path.
 		c.tracer.Record(obs.Event{
 			At: c.now(), Kind: obs.KindSched, Verb: obs.VerbReject,
-			App: p.App, Object: p.Name, Detail: err.Error(), Alloc: p.Requests,
+			App: p.App, Object: p.Name, Detail: c.sch.Diagnose(*info, c.snap).Error(), Alloc: p.Requests,
 		})
 	}
-	if p.Priority <= 0 {
-		return
+}
+
+// preempt carries out a preemption plan for p: evict the victims, bind p
+// to the plan's node, and rebuild the snapshot the evictions invalidated.
+func (c *Cluster) preempt(p *PodObject, plan *sched.Preemption) {
+	for _, victim := range plan.Victims {
+		if vp, ok := c.pods[victim]; ok {
+			c.evict(vp, "preempted")
+		}
 	}
-	if plan := c.sch.Preempt(info, c.snap.Nodes()); plan != nil {
-		for _, victim := range plan.Victims {
-			if vp, ok := c.pods[victim]; ok {
-				c.evict(vp, "preempted")
-			}
-		}
-		c.met.Counter("sched/preemptions").Inc()
-		c.recordEvent("preemption", p.Name, "evicted %v on %s", plan.Victims, plan.Node)
-		if c.tracer.Enabled() {
-			c.tracer.Record(obs.Event{
-				At: c.now(), Kind: obs.KindSched, Verb: obs.VerbPreempt,
-				App: p.App, Object: p.Name, Node: plan.Node,
-				Detail: fmt.Sprintf("victims %v", plan.Victims),
-			})
-		}
-		if berr := c.bind(p, plan.Node); berr != nil {
-			c.bindFault(p, plan.Node, berr)
-		}
-		// Evictions touched several nodes; rebuild rather than patch.
-		c.refreshSnapshot()
+	c.met.Counter("sched/preemptions").Inc()
+	c.recordEvent("preemption", p.Name, "evicted %v on %s", plan.Victims, plan.Node)
+	if c.tracer.Enabled() {
+		c.tracer.Record(obs.Event{
+			At: c.now(), Kind: obs.KindSched, Verb: obs.VerbPreempt,
+			App: p.App, Object: p.Name, Node: plan.Node,
+			Detail: fmt.Sprintf("victims %v", plan.Victims),
+		})
 	}
+	if berr := c.bind(p, plan.Node); berr != nil {
+		c.bindFault(p, plan.Node, berr)
+	}
+	// Evictions touched several nodes; rebuild rather than patch.
+	c.refreshSnapshot()
 }
 
 // drainBatched walks the queue like the serial loop but, where a run of
@@ -740,7 +788,8 @@ func (c *Cluster) drainBatched(queue []*PodObject) {
 // pairwise-disjoint candidate prefixes, filling c.batchPods with their
 // scheduler views. Bounded by resource.NumKinds: same-kind prefixes
 // nest, so disjoint members necessarily index through different
-// resource kinds.
+// resource kinds. A shape that already failed this round ends the run:
+// the serial step settles it without probing.
 func (c *Cluster) batchRun(queue []*PodObject) int {
 	limit := len(queue)
 	if limit > int(resource.NumKinds) {
@@ -749,6 +798,9 @@ func (c *Cluster) batchRun(queue []*PodObject) int {
 	pods := c.batchPods[:0]
 	for _, p := range queue[:limit] {
 		info := sched.PodInfo{Name: p.Name, App: p.App, Requests: p.Requests, Priority: p.Priority, NodeSelector: p.NodeSelector}
+		if c.failedShape(&info) {
+			break
+		}
 		disjoint := true
 		for j := range pods {
 			if !c.snap.DisjointCandidates(&pods[j], &info) {
@@ -770,8 +822,10 @@ func (c *Cluster) batchRun(queue []*PodObject) int {
 // to load plus O(kinds · nodes log nodes) to index, no steady-state
 // allocation. Binds patch the snapshot incrementally via Commit; only
 // multi-node changes (preemption evictions, mid-round bind faults) pay
-// for a rebuild.
+// for a rebuild. A rebuild may free headroom, so it forgets the failed
+// shapes; every drain round starts with one.
 func (c *Cluster) refreshSnapshot() {
+	c.failed = c.failed[:0]
 	c.snap.Reset()
 	for _, n := range c.nodeList {
 		if !n.Ready {

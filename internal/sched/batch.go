@@ -7,10 +7,11 @@ import (
 )
 
 // BatchResult is one pod's outcome from ScheduleBatch: the chosen node,
-// or OK=false when no candidate was feasible. The failure path carries
-// no error — the caller replays the pod through ScheduleOn against the
-// committed snapshot so the Unschedulable message (and any preemption
-// that follows) sees the exact state a serial walk would have.
+// or OK=false when no candidate was feasible. Like Place, the failure
+// path carries no diagnosis — the caller replays the pod through its
+// serial step against the committed snapshot, so any preemption (and,
+// when it is read, the Diagnose message) sees the exact state a serial
+// walk would have.
 type BatchResult struct {
 	Node string
 	OK   bool

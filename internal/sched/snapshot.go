@@ -10,7 +10,7 @@ import (
 
 // Snapshot is a reusable scheduling view of the cluster: the node states
 // plus derived per-node caches (free headroom, reciprocal allocatable)
-// and a per-resource feasibility index that lets ScheduleOn probe only
+// and a per-resource feasibility index that lets Place probe only
 // the nodes that can possibly fit a pod.
 //
 // The index keeps, for every resource kind, the live node entries sorted
@@ -22,7 +22,7 @@ import (
 // with a brute-force scan is exact (see TestSnapshotEquivalence).
 //
 // Lifecycle: Reset, AddNode (+AddPod) per node, Build, then any mix of
-// ScheduleOn / Commit / Fail. Commit and Fail maintain the index
+// Place / ScheduleOn / Commit / Fail. Commit and Fail maintain the index
 // incrementally; a full rebuild is only needed when node state changes
 // behind the snapshot's back. A Snapshot is not safe for concurrent
 // mutation; the parallel score fan-out only reads it.
@@ -120,7 +120,7 @@ func (sn *Snapshot) ensureOwned(e int) {
 }
 
 // Build (re)computes the feasibility index over the current entries.
-// ScheduleOn builds lazily, but calling it explicitly after the AddNode
+// Place builds lazily, but calling it explicitly after the AddNode
 // loop keeps the build cost out of the first placement.
 func (sn *Snapshot) Build() {
 	sn.stats.Builds++
