@@ -412,3 +412,31 @@ func TestChaosReplayDeterministic(t *testing.T) {
 		t.Errorf("chaos replay diverged:\n--- first\n%s\n--- second\n%s", a, b)
 	}
 }
+
+// TestPoolConfinementSurvivesPreemption runs the backlog golden world —
+// two pools, a service confined to pool a, a backlog that preempts batch
+// tasks — and checks, every virtual minute, that no replica of the
+// confined service runs outside its pool. Preemption used to plan on any
+// node, and bind does not re-check labels.
+func TestPoolConfinementSurvivesPreemption(t *testing.T) {
+	c, err := New(Options{Seed: 7, Pools: backlogScenario.pools, MeasurementNoise: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := backlogScenario.build(c); err != nil {
+		t.Fatal(err)
+	}
+	for minute := 1; minute <= 30; minute++ {
+		if err := c.Run(time.Minute); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range c.c.Pods() {
+			if p.App == "pinned" && p.Node != "" && !strings.HasPrefix(p.Node, "a-") {
+				t.Fatalf("minute %d: %s (pool a) runs on %s", minute, p.Name, p.Node)
+			}
+		}
+	}
+	if c.Report().Preemptions == 0 {
+		t.Error("the backlog never preempted; the check proves nothing")
+	}
+}

@@ -236,6 +236,39 @@ func TestPreemptPicksCheapestNode(t *testing.T) {
 	}
 }
 
+// TestPreemptHonoursNodeSelector: a pod confined to pool a must not get
+// a plan on a pool-b node, however cheap; bind does not re-check labels,
+// so such a plan would evict b's pod and run the pod outside its pool.
+func TestPreemptHonoursNodeSelector(t *testing.T) {
+	s := New(PolicySpread)
+	a := node("a", 4000, 4000)
+	a.Labels = map[string]string{"pool": "a"}
+	a.Pods = []PodInfo{{Name: "hi", Requests: resource.New(4000, 0, 0, 0), Priority: 100}}
+	b := node("b", 4000, 4000)
+	b.Labels = map[string]string{"pool": "b"}
+	b.Pods = []PodInfo{{Name: "lo", Requests: resource.New(4000, 0, 0, 0), Priority: 0}}
+	incoming := PodInfo{Name: "svc", Requests: resource.New(2000, 0, 0, 0), Priority: 100,
+		NodeSelector: map[string]string{"pool": "a"}}
+	if plan := s.Preempt(incoming, []NodeInfo{a, b}); plan != nil {
+		t.Fatalf("plan = %+v on a node outside the pod's pool, want none", plan)
+	}
+	// The same low-priority pod inside the pool is a valid victim.
+	a.Pods = b.Pods
+	plan := s.Preempt(incoming, []NodeInfo{a, b})
+	if plan == nil || plan.Node != "a" || len(plan.Victims) != 1 || plan.Victims[0] != "lo" {
+		t.Fatalf("plan = %+v, want victim lo on a", plan)
+	}
+	// A custom chain applies its non-fit filters the same way.
+	custom, err := NewCustom([]FilterPlugin{FitFilter{}, SelectorFilter{}}, []ScorePlugin{LeastAllocated{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Pods = []PodInfo{{Name: "hi", Requests: resource.New(4000, 0, 0, 0), Priority: 100}}
+	if plan := custom.Preempt(incoming, []NodeInfo{a, b}); plan != nil {
+		t.Fatalf("custom chain: plan = %+v outside the pod's pool, want none", plan)
+	}
+}
+
 func TestPreemptTrimsUnneededVictims(t *testing.T) {
 	s := New(PolicySpread)
 	n := node("n1", 4000, 4000)
