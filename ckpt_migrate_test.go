@@ -200,3 +200,56 @@ func TestRestoreVersion2Traced(t *testing.T) {
 		t.Errorf("uninterrupted run: digest %s, recorded %s", got, legacyTracedContinuation)
 	}
 }
+
+// testdata/ckpt_v3_traced.evck is a version 3 snapshot of
+// legacyTracedWorld at 12m, written by the last build whose trace sinks
+// streamed JSONL: CRC-32C checksum, tracer rings as binary records. It
+// snapshots the same world as the version 2 fixture, so its recorded
+// continuation is legacyTracedContinuation.
+const tracedV3Fixture = "testdata/ckpt_v3_traced.evck"
+
+// TestRestoreVersion3Traced restores the committed version 3 fixture and
+// continues to 24m: report, journal and both tracer rings must match the
+// recorded continuation and an uninterrupted run of this build. The same
+// world checkpointed at 12m by this build must also reproduce the
+// fixture byte for byte, which pins the ring records' encoding.
+func TestRestoreVersion3Traced(t *testing.T) {
+	raw, err := os.ReadFile(tracedV3Fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r, err := ckpt.NewReader(bytes.NewReader(raw)); err != nil || r.Version() != 3 {
+		t.Fatalf("fixture is not a version 3 checkpoint (err %v)", err)
+	}
+	restored := legacyTracedWorld(t)
+	if err := restored.Restore(bytes.NewReader(raw)); err != nil {
+		t.Fatalf("restoring a version 3 checkpoint: %v", err)
+	}
+	if got := restored.Now(); got != 12*time.Minute {
+		t.Fatalf("restored clock %v, want 12m", got)
+	}
+	if n := len(restored.Tracer().Snapshot(obs.Filter{})); n == 0 {
+		t.Fatal("restored event ring is empty")
+	}
+	if n := len(restored.Tracer().SpanSnapshot(obs.SpanFilter{})); n == 0 {
+		t.Fatal("restored span ring is empty")
+	}
+	if err := restored.Run(12 * time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(ckptFingerprint(restored)))); got != legacyTracedContinuation {
+		t.Errorf("continuation from the version 3 snapshot: digest %s, recorded %s", got, legacyTracedContinuation)
+	}
+
+	again := legacyTracedWorld(t)
+	if err := again.Run(12 * time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := again.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), raw) {
+		t.Errorf("this build's version 3 checkpoint of the fixture world differs from the fixture (%d vs %d bytes)", buf.Len(), len(raw))
+	}
+}
