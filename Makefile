@@ -82,24 +82,29 @@ bench-sched:
 # bench-obs is the observability overhead job: the span-off vs span-on
 # tick pair (BenchmarkTick vs BenchmarkTickTraced — installing a tracer
 # enables the span layer with it), the traced and untraced steady-state
-# allocation gates, the span/latency emission tests, and the /metrics
+# allocation gates, the span/latency emission tests, the trace sinks'
+# zero-allocation gate with BenchmarkRecordSink, and the /metrics
 # scrape: its steady-state allocation gate, its equivalence with the
 # original renderer, and BenchmarkWriteMetrics. A traced tick that
-# starts allocating per pod, a steady tick that records spans, or a
-# scrape that allocates per instrument fails here.
+# starts allocating per pod, a steady tick that records spans, a sink
+# write that allocates, or a scrape that allocates per instrument fails
+# here.
 bench-obs:
 	$(GO) test ./internal/cluster -run 'TestTickSteadyStateAllocs|TestTickTracedAllocsBudget|TestPodSpansEmitted' \
 		-bench 'BenchmarkTick/|BenchmarkTickTraced/' -benchtime 20x -count 1 -v
 	$(GO) test ./internal/obs -run 'TestSpan|TestLatency' -bench 'BenchmarkObserveLatency' -benchtime 100x -count 1
+	$(GO) test ./internal/obs -run 'TestTraceSinkAllocs' -bench 'BenchmarkRecordSink' -benchtime 10000x -count 1 -v
 	$(GO) test ./internal/obs -run 'TestWriteMetricsAllocs|TestExposition' -bench 'BenchmarkWriteMetrics' -benchtime 200x -count 1 -v
 
-# fuzz-smoke gives the chaos-plan parser and checkpoint restore a short
-# fuzzing budget each: long enough to catch parse/round-trip and
-# hostile-snapshot regressions, short enough for CI. Two workers keep
-# the restore fuzzer's memory small.
+# fuzz-smoke gives the chaos-plan parser, checkpoint restore and the
+# trace and span stream readers a short fuzzing budget each: long enough
+# to catch parse/round-trip and hostile-input regressions, short enough
+# for CI. Two workers keep the fuzzers' memory small.
 fuzz-smoke:
 	$(GO) test -fuzz FuzzParsePlan -fuzztime 15s -run '^$$' ./internal/chaos
 	$(GO) test -fuzz '^FuzzRestore$$' -fuzztime 15s -parallel 2 -run '^$$' .
+	$(GO) test -fuzz '^FuzzReadTrace$$' -fuzztime 15s -parallel 2 -run '^$$' ./internal/obs
+	$(GO) test -fuzz '^FuzzReadSpans$$' -fuzztime 15s -parallel 2 -run '^$$' ./internal/obs
 
 # chaos-soak runs the everything-at-once fault profile end to end (the
 # TestChaosSoak harness test plus the mixed-profile CLI path).

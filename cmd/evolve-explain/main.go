@@ -1,6 +1,6 @@
 // Command evolve-explain answers "why did the autoscaler do that?" from
 // a decision trace recorded by evolve-sim -trace (or a harness run with
-// a trace directory). Given an application and a virtual time it
+// a trace directory), or from the binary stream of any obs.Tracer sink. Given an application and a virtual time it
 // reconstructs the full decision chain: the observation the controller
 // saw, the per-resource PID term decomposition (with clamping and
 // anti-windup state), the gains and their adaptations, the stage that
@@ -27,7 +27,7 @@ import (
 
 func main() {
 	var (
-		trace   = flag.String("trace", "", "decision-trace JSONL file (from evolve-sim -trace)")
+		trace   = flag.String("trace", "", "decision-trace file, JSONL (from evolve-sim -trace) or a binary trace stream")
 		app     = flag.String("app", "", "application to explain")
 		at      = flag.Duration("at", 0, "virtual time of interest (e.g. 43m)")
 		window  = flag.Duration("window", 5*time.Minute, "how far around the decision to gather evidence")

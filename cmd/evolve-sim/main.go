@@ -170,7 +170,7 @@ func finish(c *evolve.Cluster, dur time.Duration, out outputs) {
 			fatal(err)
 		}
 		traceFile, traceW = f, bufio.NewWriter(f)
-		c.EnableTracing(out.traceBuf).SetSink(traceW)
+		c.EnableTracing(out.traceBuf).SetSink(obs.NewJSONLWriter(traceW))
 	}
 	if out.spans != "" {
 		f, err := os.Create(out.spans)
@@ -178,7 +178,7 @@ func finish(c *evolve.Cluster, dur time.Duration, out outputs) {
 			fatal(err)
 		}
 		spanFile, spanW = f, bufio.NewWriter(f)
-		c.EnableTracing(out.traceBuf).SetSpanSink(spanW)
+		c.EnableTracing(out.traceBuf).SetSpanSink(obs.NewJSONLWriter(spanW))
 	}
 	if out.trace == "" && out.spans == "" && (out.serve != "" || out.metricsAddr != "") {
 		// Serving without a sink still wants /debug/trace to answer.

@@ -2,7 +2,7 @@
 // text timeline, a per-kind flamegraph summary, or a single pod's
 // explanation — the offline answer to "why was this pod slow to become
 // ready?". It consumes the JSONL span files that `evolve-sim -spans`
-// (or any obs.Tracer span sink) produces.
+// writes, or the binary span stream of any obs.Tracer span sink.
 //
 // Examples:
 //
@@ -33,7 +33,7 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("evolve-timeline", flag.ContinueOnError)
 	var (
-		spansPath = fs.String("spans", "", "span JSONL file (from evolve-sim -spans); required")
+		spansPath = fs.String("spans", "", "span file, JSONL (from evolve-sim -spans) or a binary span stream; required")
 		pod       = fs.String("pod", "", "explain this pod's path to readiness instead of the timeline")
 		summary   = fs.Bool("summary", false, "print the per-kind duration aggregate instead of the timeline")
 		from      = fs.Duration("from", 0, "timeline window start (virtual time)")

@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -14,21 +15,27 @@ import (
 )
 
 // runSimWithSpans executes a small simulation with a span sink attached
-// — the same wiring `evolve-sim -spans` performs — and returns the span
-// file path.
-func runSimWithSpans(t *testing.T) string {
+// and returns the paths of its span stream in both forms: JSONL — the
+// same wiring `evolve-sim -spans` performs — and the tracer's binary
+// stream as written.
+func runSimWithSpans(t *testing.T) (jsonl, bin string) {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "spans.jsonl")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	jsonl, bin = filepath.Join(dir, "spans.jsonl"), filepath.Join(dir, "spans.bin")
+	var ws []*bufio.Writer
+	var fs []*os.File
+	for _, path := range []string{jsonl, bin} {
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs, ws = append(fs, f), append(ws, bufio.NewWriter(f))
 	}
-	w := bufio.NewWriter(f)
 	c, err := evolve.New(evolve.Options{Seed: 11, Nodes: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.EnableTracing(1 << 14).SetSpanSink(w)
+	c.EnableTracing(1 << 14).SetSpanSink(io.MultiWriter(obs.NewJSONLWriter(ws[0]), ws[1]))
 	if err := c.AddService(evolve.ServiceOptions{Name: "web", BaseRate: 200}); err != nil {
 		t.Fatal(err)
 	}
@@ -41,20 +48,22 @@ func runSimWithSpans(t *testing.T) string {
 	if err := c.Tracer().SpanSinkErr(); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
+	for i := range fs {
+		if err := ws[i].Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs[i].Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return path
+	return jsonl, bin
 }
 
 // TestEndToEndPodExplanation is the acceptance gate for the span layer:
 // run a simulation, persist its span stream, and have evolve-timeline
 // reconstruct one pod's created→ready chain with correct parent links.
 func TestEndToEndPodExplanation(t *testing.T) {
-	path := runSimWithSpans(t)
+	path, _ := runSimWithSpans(t)
 
 	// Pick a pod the controller caused: a lifecycle span with a parent.
 	f, err := os.Open(path)
@@ -122,27 +131,32 @@ func TestEndToEndPodExplanation(t *testing.T) {
 }
 
 func TestTimelineAndSummaryModes(t *testing.T) {
-	path := runSimWithSpans(t)
-	var out bytes.Buffer
-	if err := run([]string{"-spans", path}, &out); err != nil {
-		t.Fatalf("timeline mode: %v", err)
+	path, bin := runSimWithSpans(t)
+	// Every mode reads the binary stream exactly as its JSONL rendering.
+	mode := func(what string, args ...string) string {
+		t.Helper()
+		var out, binOut bytes.Buffer
+		if err := run(append([]string{"-spans", path}, args...), &out); err != nil {
+			t.Fatalf("%s mode: %v", what, err)
+		}
+		if err := run(append([]string{"-spans", bin}, args...), &binOut); err != nil {
+			t.Fatalf("%s mode over the binary stream: %v", what, err)
+		}
+		if out.String() != binOut.String() {
+			t.Errorf("%s mode: binary stream output differs from JSONL:\n%.300s\nvs\n%.300s", what, binOut.String(), out.String())
+		}
+		return out.String()
 	}
-	if !strings.Contains(out.String(), "timeline") || !strings.Contains(out.String(), "lifecycle") {
-		t.Errorf("timeline output:\n%.300s", out.String())
+	if out := mode("timeline"); !strings.Contains(out, "timeline") || !strings.Contains(out, "lifecycle") {
+		t.Errorf("timeline output:\n%.300s", out)
 	}
-	out.Reset()
-	if err := run([]string{"-spans", path, "-summary"}, &out); err != nil {
-		t.Fatalf("summary mode: %v", err)
+	if out := mode("summary", "-summary"); !strings.Contains(out, "kind") || !strings.Contains(out, "pending") {
+		t.Errorf("summary output:\n%.300s", out)
 	}
-	if !strings.Contains(out.String(), "kind") || !strings.Contains(out.String(), "pending") {
-		t.Errorf("summary output:\n%.300s", out.String())
-	}
-	out.Reset()
-	if err := run([]string{"-spans", path, "-from", "10m", "-to", "20m"}, &out); err != nil {
-		t.Fatalf("window mode: %v", err)
-	}
+	mode("window", "-from", "10m", "-to", "20m")
 
 	// Error paths: missing flag, missing file, unknown pod.
+	var out bytes.Buffer
 	if err := run(nil, &out); err == nil {
 		t.Error("missing -spans accepted")
 	}

@@ -533,7 +533,7 @@ type Report struct {
 	Abandoned        uint64 // decisions given up after the retry budget
 	// Tracer health (zero/empty when tracing is off): ring totals, ring
 	// drops (capacity exhausted between snapshots) and the first latched
-	// JSONL sink error, so silent trace loss is visible in the report.
+	// sink error, so silent trace loss is visible in the report.
 	TraceEvents       uint64
 	TraceDropped      uint64
 	TraceSpans        uint64
@@ -658,8 +658,9 @@ func (cl *Cluster) Events() []EventRecord {
 // (obs.DefaultCapacity when <= 0) and returns it. Every control decision
 // (with its PID term decomposition), scheduler outcome, registry delta
 // and PLO violation transition is recorded onto the ring; attach a sink
-// with Tracer().SetSink to also stream events as JSONL. Idempotent:
-// repeated calls return the existing tracer.
+// with Tracer().SetSink to also stream events as binary records, or as
+// JSONL through an obs.JSONLWriter. Idempotent: repeated calls return
+// the existing tracer.
 func (cl *Cluster) EnableTracing(capacity int) *obs.Tracer {
 	if cl.tracer.Enabled() {
 		return cl.tracer

@@ -12,6 +12,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"evolve/internal/obs"
 )
 
 // Golden digests: a correctness oracle that lives outside the build.
@@ -204,10 +206,19 @@ func goldenDigest(t *testing.T, g goldenCase) string {
 	if err := c.WriteMetrics(h); err != nil {
 		t.Fatal(err)
 	}
-	fmt.Fprintf(h, "trace %d\n", events.Len())
-	h.Write(events.Bytes())
-	fmt.Fprintf(h, "spans %d\n", spans.Len())
-	h.Write(spans.Bytes())
+	// The sinks stream binary records; the digest covers the JSONL
+	// rendered from them, which pins the renderer byte for byte.
+	for _, s := range []struct {
+		name string
+		bin  *bytes.Buffer
+	}{{"trace", &events}, {"spans", &spans}} {
+		var jsonl bytes.Buffer
+		if err := obs.RenderJSONL(&jsonl, s.bin); err != nil {
+			t.Fatalf("rendering the %s stream: %v", s.name, err)
+		}
+		fmt.Fprintf(h, "%s %d\n", s.name, jsonl.Len())
+		h.Write(jsonl.Bytes())
+	}
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 

@@ -72,9 +72,9 @@ func checksum(version uint32, body []byte) uint64 {
 // error latches and every later write is skipped, so callers check
 // Close once.
 type Writer struct {
-	w    io.Writer
-	buf  []byte // pending chunk
-	skip int    // leading bytes of buf outside the checksum (the header)
+	w    io.Writer // nil for a record Writer
+	buf  []byte    // pending chunk
+	skip int       // leading bytes of buf outside the checksum (the header)
 	crc  uint32
 	err  error
 }
@@ -88,8 +88,29 @@ func NewWriter(w io.Writer) *Writer {
 	return cw
 }
 
-// flush checksums and writes the pending chunk.
+// NewRecordWriter returns a Writer that encodes into memory: no header,
+// no checksum, no chunked writes. Its buffer holds exactly the bytes a
+// stream Writer emits for the same calls, so one encoder serves a
+// checkpoint section and a self-contained record (the tracer's sink
+// frames) alike. Read the record with Buffered and empty the Writer
+// with Reset; Close is for stream Writers only.
+func NewRecordWriter() *Writer { return &Writer{} }
+
+// Buffered returns the bytes a record Writer holds. They alias its
+// buffer — a caller may patch them in place, e.g. a length prefix —
+// and stay valid until the next write or Reset.
+func (w *Writer) Buffered() []byte { return w.buf }
+
+// Reset empties a record Writer for the next record, keeping its
+// buffer's capacity.
+func (w *Writer) Reset() { w.buf = w.buf[:0] }
+
+// flush checksums and writes the pending chunk. A record Writer has no
+// chunks: its buffer just grows.
 func (w *Writer) flush() {
+	if w.w == nil {
+		return
+	}
 	w.crc = crc32.Update(w.crc, castagnoli, w.buf[w.skip:])
 	w.skip = 0
 	if w.err == nil {
@@ -147,9 +168,22 @@ func (w *Writer) Str(s string) { writeRaw(w, s) }
 // Bytes writes a length-prefixed byte blob.
 func (w *Writer) Bytes(p []byte) { writeRaw(w, p) }
 
-// writeRaw writes a length prefix and then p, spilling across chunks.
+// Raw writes p verbatim, with no length prefix: bytes whose extent the
+// reader knows from elsewhere (a frame header, a magic).
+func (w *Writer) Raw(p []byte) { spill(w, p) }
+
+// writeRaw writes a length prefix and then p.
 func writeRaw[S string | []byte](w *Writer, p S) {
 	w.U64(uint64(len(p)))
+	spill(w, p)
+}
+
+// spill appends p, spilling across chunks.
+func spill[S string | []byte](w *Writer, p S) {
+	if w.w == nil {
+		w.buf = append(w.buf, p...)
+		return
+	}
 	for len(p) > 0 {
 		if len(w.buf) == chunkSize {
 			w.flush()
@@ -245,6 +279,11 @@ func NewBytesReader(p []byte) (*Reader, error) {
 	cr.p = body
 	return cr, nil
 }
+
+// NewRecordReader returns a Reader over one record written by a record
+// Writer: no header and no checksum, decoded as the current Version.
+// Close reports bytes the decoder left unread.
+func NewRecordReader(p []byte) *Reader { return &Reader{p: p, version: Version} }
 
 // Version returns the format version of the stream being read.
 func (r *Reader) Version() uint32 { return r.version }

@@ -288,7 +288,7 @@ func drainOracleRun(t *testing.T, seed int64, workers int, traced, reference boo
 			submitJob()
 		}
 	}
-	renderObservables(&out, c, &trace)
+	renderObservables(t, &out, c, &trace)
 	return out.String(), c.sch.Stats()
 }
 
@@ -308,8 +308,10 @@ func renderPods(out *strings.Builder, c *Cluster) {
 	}
 }
 
-// renderObservables writes every counter, the journal and the trace.
-func renderObservables(out *strings.Builder, c *Cluster, trace *bytes.Buffer) {
+// renderObservables writes every counter, the journal and the trace,
+// rendered as JSONL.
+func renderObservables(t *testing.T, out *strings.Builder, c *Cluster, trace *bytes.Buffer) {
+	t.Helper()
 	names := c.met.CounterNames()
 	sort.Strings(names)
 	for _, n := range names {
@@ -318,7 +320,9 @@ func renderObservables(out *strings.Builder, c *Cluster, trace *bytes.Buffer) {
 	for _, e := range c.Events() {
 		fmt.Fprintf(out, "event %d %s %s %s\n", e.At, e.Kind, e.Object, e.Message)
 	}
-	out.Write(trace.Bytes())
+	if err := obs.RenderJSONL(out, trace); err != nil {
+		t.Fatalf("rendering the trace stream: %v", err)
+	}
 }
 
 // TestDrainMatchesReference is the drain's randomized oracle: on
@@ -427,7 +431,7 @@ func drainRebuildCase(t *testing.T) {
 		drainRound(c, reference)
 		var out strings.Builder
 		renderPods(&out, c)
-		renderObservables(&out, c, &trace)
+		renderObservables(t, &out, c, &trace)
 		return out.String()
 	}
 	want := run(true)

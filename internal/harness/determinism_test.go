@@ -55,12 +55,12 @@ const chaosEverything = "node-crash@12m-18m:node=node-0;metric-drop@5m:p=0.2;" +
 // runFingerprint executes the scenario under the EVOLVE policy with
 // trace and span sinks attached and returns three byte-exact
 // artefacts: the rendered Report (minus the cluster pointer), the full
-// JSONL trace stream, and the span stream with the Shard attribution
-// masked. Shard is the one span field allowed to vary with the shard
-// count (it names which shard owned the app); everything else —
-// IDs, parent links, kinds, intervals, payloads — must be identical,
-// so the masked re-serialisation is compared byte for byte. %+v
-// formatting round-trips float64 (shortest representation is
+// trace stream rendered as JSONL, and the span stream with the Shard
+// attribution masked. Shard is the one span field allowed to vary with
+// the shard count (it names which shard owned the app); everything
+// else — IDs, parent links, kinds, intervals, payloads — must be
+// identical, so the masked re-serialisation is compared byte for byte.
+// %+v formatting round-trips float64 (shortest representation is
 // injective), so string equality is bit equality.
 func runFingerprint(t *testing.T, sc Scenario) (report, trace, spans string) {
 	t.Helper()
@@ -79,11 +79,16 @@ func runFingerprint(t *testing.T, sc Scenario) (report, trace, spans string) {
 		t.Fatalf("span sink: %v", err)
 	}
 	res.Cluster = nil
-	return fmt.Sprintf("%+v", *res), buf.String(), maskSpanShards(t, &spanBuf)
+	var jsonl bytes.Buffer
+	if err := obs.RenderJSONL(&jsonl, &buf); err != nil {
+		t.Fatalf("rendering the trace stream: %v", err)
+	}
+	return fmt.Sprintf("%+v", *res), jsonl.String(), maskSpanShards(t, &spanBuf)
 }
 
-// maskSpanShards parses a span JSONL stream, zeroes the Shard field
-// and re-serialises, yielding the shard-count-invariant fingerprint.
+// maskSpanShards parses a span stream, zeroes the Shard field and
+// re-serialises it as JSONL, yielding the shard-count-invariant
+// fingerprint.
 func maskSpanShards(t *testing.T, buf *bytes.Buffer) string {
 	t.Helper()
 	sps, err := obs.ReadSpans(bytes.NewReader(buf.Bytes()))

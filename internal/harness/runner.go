@@ -145,7 +145,7 @@ func (r *Runner) execute(sc Scenario, pol Policy, hooks []Hook) (*Result, error)
 	}
 	w := bufio.NewWriter(f)
 	tr := obs.New(obs.DefaultCapacity)
-	tr.SetSink(w)
+	tr.SetSink(obs.NewJSONLWriter(w))
 	res, runErr := runScenario(sc, pol, hooks, tr)
 	if err := w.Flush(); err == nil {
 		err = f.Close()

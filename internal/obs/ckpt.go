@@ -87,8 +87,10 @@ func loadLatHist(r *ckpt.Reader, h *LatencyHistogram) error {
 	return r.Err()
 }
 
-// saveEvent writes one ring event as a fixed binary record; the PID
-// decomposition follows only when HasCtrl is set.
+// saveEvent writes one event as a fixed binary record; the PID
+// decomposition follows only when HasCtrl is set. It is the one event
+// encoder: the checkpoint's ring section and the sink frames
+// (stream.go) both hold these bytes.
 func saveEvent(w *ckpt.Writer, ev *Event) {
 	w.U64(ev.Seq)
 	w.Dur(ev.At)
@@ -114,7 +116,8 @@ func saveEvent(w *ckpt.Writer, ev *Event) {
 	}
 }
 
-// loadEvent reads a record written by saveEvent.
+// loadEvent reads a record written by saveEvent: a ring entry or a
+// sink frame's body.
 func loadEvent(r *ckpt.Reader, ev *Event) error {
 	ev.Seq = r.U64()
 	ev.At = r.Dur()
@@ -147,7 +150,8 @@ func loadEvent(r *ckpt.Reader, ev *Event) error {
 	return nil
 }
 
-// saveSpan writes one ring span as a fixed binary record.
+// saveSpan writes one span as a fixed binary record, for the ring
+// section and the sink frames alike.
 func saveSpan(w *ckpt.Writer, sp *Span) {
 	w.U64(sp.ID)
 	w.U64(sp.Parent)
@@ -246,7 +250,7 @@ func (t *Tracer) CkptSave(w *ckpt.Writer) {
 // (oldest at index 0) — rotation is unobservable through Snapshot and
 // subsequent records. Sinks should be attached after the load. Streams
 // before format version 3 carry each ring record as one JSON line (the
-// sink encoding), decoded with ParseEvent and ParseSpan.
+// sink encoding of those builds), decoded with ParseEvent and ParseSpan.
 func (t *Tracer) CkptLoad(r *ckpt.Reader) error {
 	r.Begin("tracer")
 	enabled := r.Bool()

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -62,7 +61,19 @@ func AppendJSON(buf []byte, ev *Event) []byte {
 	return append(buf, '}')
 }
 
+// appendFloat appends v in shortest form. JSON has no literal for NaN
+// or the infinities, so those render as the strings "NaN", "+Inf" and
+// "-Inf", which jsonFloat decodes back.
 func appendFloat(buf []byte, v float64) []byte {
+	if v-v != 0 { // NaN or ±Inf
+		switch {
+		case v > 0:
+			return append(buf, `"+Inf"`...)
+		case v < 0:
+			return append(buf, `"-Inf"`...)
+		}
+		return append(buf, `"NaN"`...)
+	}
 	return strconv.AppendFloat(buf, v, 'g', -1, 64)
 }
 
@@ -215,38 +226,79 @@ func (ct *ControlTrace) UnmarshalJSON(data []byte) error {
 // Mirror structs for decoding. Field tags track AppendJSON exactly; the
 // round-trip test in json_test.go fails if either side drifts.
 
+// jsonFloat decodes a number as appendFloat writes it: a JSON number,
+// or one of the strings "NaN", "+Inf" and "-Inf".
+type jsonFloat float64
+
+func (f *jsonFloat) UnmarshalJSON(b []byte) error {
+	switch string(b) {
+	case `"NaN"`:
+		*f = jsonFloat(math.NaN())
+	case `"+Inf"`:
+		*f = jsonFloat(math.Inf(1))
+	case `"-Inf"`:
+		*f = jsonFloat(math.Inf(-1))
+	case "null":
+	default:
+		v, err := strconv.ParseFloat(string(b), 64)
+		if err != nil {
+			return fmt.Errorf("obs: bad number %.32q", b)
+		}
+		*f = jsonFloat(v)
+	}
+	return nil
+}
+
+// seconds converts a time in seconds, as AppendJSON writes it, back to
+// a Duration — rounding, because the value went through a float64
+// division on encode, and saturating at the Duration range. No Duration
+// renders as NaN or an infinity, so those are errors.
+func seconds(s jsonFloat) (time.Duration, error) {
+	if v := float64(s); v-v != 0 {
+		return 0, fmt.Errorf("obs: time %v is not finite", v)
+	}
+	ns := math.Round(float64(s) * float64(time.Second))
+	switch {
+	case ns >= math.MaxInt64:
+		return math.MaxInt64, nil
+	case ns <= math.MinInt64:
+		return math.MinInt64, nil
+	}
+	return time.Duration(ns), nil
+}
+
 type jsonVec struct {
-	CPU    float64 `json:"cpu"`
-	Memory float64 `json:"memory"`
-	DiskIO float64 `json:"diskio"`
-	NetIO  float64 `json:"netio"`
+	CPU    jsonFloat `json:"cpu"`
+	Memory jsonFloat `json:"memory"`
+	DiskIO jsonFloat `json:"diskio"`
+	NetIO  jsonFloat `json:"netio"`
 }
 
 func (v *jsonVec) toVector() resource.Vector {
 	if v == nil {
 		return resource.Vector{}
 	}
-	return resource.Vector{v.CPU, v.Memory, v.DiskIO, v.NetIO}
+	return resource.Vector{float64(v.CPU), float64(v.Memory), float64(v.DiskIO), float64(v.NetIO)}
 }
 
 type jsonTerm struct {
-	Err     float64 `json:"err"`
-	P       float64 `json:"p"`
-	I       float64 `json:"i"`
-	D       float64 `json:"d"`
-	Out     float64 `json:"out"`
-	Clamped bool    `json:"clamped"`
+	Err     jsonFloat `json:"err"`
+	P       jsonFloat `json:"p"`
+	I       jsonFloat `json:"i"`
+	D       jsonFloat `json:"d"`
+	Out     jsonFloat `json:"out"`
+	Clamped bool      `json:"clamped"`
 }
 
 type jsonGains struct {
-	Kp float64 `json:"kp"`
-	Ki float64 `json:"ki"`
-	Kd float64 `json:"kd"`
+	Kp jsonFloat `json:"kp"`
+	Ki jsonFloat `json:"ki"`
+	Kd jsonFloat `json:"kd"`
 }
 
 type jsonCtrl struct {
 	Stage       string               `json:"stage"`
-	UtilTarget  float64              `json:"util_target"`
+	UtilTarget  jsonFloat            `json:"util_target"`
 	Adaptations int                  `json:"adaptations"`
 	Floored     int                  `json:"floored"`
 	Terms       map[string]jsonTerm  `json:"terms"`
@@ -256,7 +308,7 @@ type jsonCtrl struct {
 func (m *jsonCtrl) toCtrl() ControlTrace {
 	ct := ControlTrace{
 		Stage:        m.Stage,
-		UtilTarget:   m.UtilTarget,
+		UtilTarget:   float64(m.UtilTarget),
 		Adaptations:  m.Adaptations,
 		FlooredKinds: m.Floored,
 	}
@@ -265,31 +317,31 @@ func (m *jsonCtrl) toCtrl() ControlTrace {
 		if err != nil {
 			continue
 		}
-		ct.Terms[k] = PIDTerm{Err: t.Err, P: t.P, I: t.I, D: t.D, Out: t.Out, Clamped: t.Clamped}
+		ct.Terms[k] = PIDTerm{Err: float64(t.Err), P: float64(t.P), I: float64(t.I), D: float64(t.D), Out: float64(t.Out), Clamped: t.Clamped}
 	}
 	for name, g := range m.Gains {
 		k, err := resource.ParseKind(name)
 		if err != nil {
 			continue
 		}
-		ct.Gains[k] = GainSet{Kp: g.Kp, Ki: g.Ki, Kd: g.Kd}
+		ct.Gains[k] = GainSet{Kp: float64(g.Kp), Ki: float64(g.Ki), Kd: float64(g.Kd)}
 	}
 	return ct
 }
 
 type jsonEvent struct {
 	Seq         uint64    `json:"seq"`
-	T           float64   `json:"t"`
+	T           jsonFloat `json:"t"`
 	Kind        string    `json:"kind"`
 	Verb        string    `json:"verb"`
 	App         string    `json:"app"`
 	Object      string    `json:"object"`
 	Node        string    `json:"node"`
 	Detail      string    `json:"detail"`
-	PerfErr     float64   `json:"perf_err"`
-	SLI         float64   `json:"sli"`
-	Objective   float64   `json:"objective"`
-	Offered     float64   `json:"offered"`
+	PerfErr     jsonFloat `json:"perf_err"`
+	SLI         jsonFloat `json:"sli"`
+	Objective   jsonFloat `json:"objective"`
+	Offered     jsonFloat `json:"offered"`
 	Replicas    int       `json:"replicas"`
 	Ready       int       `json:"ready"`
 	NewReplicas int       `json:"new_replicas"`
@@ -309,21 +361,23 @@ func ParseEvent(line []byte) (Event, error) {
 	if !ok {
 		return Event{}, fmt.Errorf("obs: unknown event kind %q", m.Kind)
 	}
+	at, err := seconds(m.T)
+	if err != nil {
+		return Event{}, err
+	}
 	ev := Event{
-		Seq: m.Seq,
-		// Round instead of truncating: the seconds value went through a
-		// float64 division on encode.
-		At:          time.Duration(math.Round(m.T * float64(time.Second))),
+		Seq:         m.Seq,
+		At:          at,
 		Kind:        kind,
 		Verb:        m.Verb,
 		App:         m.App,
 		Object:      m.Object,
 		Node:        m.Node,
 		Detail:      m.Detail,
-		PerfErr:     m.PerfErr,
-		SLI:         m.SLI,
-		Objective:   m.Objective,
-		Offered:     m.Offered,
+		PerfErr:     float64(m.PerfErr),
+		SLI:         float64(m.SLI),
+		Objective:   float64(m.Objective),
+		Offered:     float64(m.Offered),
 		Replicas:    m.Replicas,
 		Ready:       m.Ready,
 		NewReplicas: m.NewReplicas,
@@ -336,30 +390,6 @@ func ParseEvent(line []byte) (Event, error) {
 		ev.Ctrl = m.Ctrl.toCtrl()
 	}
 	return ev, nil
-}
-
-// ReadTrace decodes a whole JSONL trace stream, skipping blank lines.
-func ReadTrace(r io.Reader) ([]Event, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 4<<20)
-	var out []Event
-	line := 0
-	for sc.Scan() {
-		line++
-		b := sc.Bytes()
-		if len(b) == 0 {
-			continue
-		}
-		ev, err := ParseEvent(b)
-		if err != nil {
-			return nil, fmt.Errorf("obs: line %d: %w", line, err)
-		}
-		out = append(out, ev)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // WriteJSONL writes events as one JSON object per line.

@@ -21,11 +21,10 @@ func fullCtrl() ControlTrace {
 	return ct
 }
 
-// TestEventJSONRoundTrip keeps the hand-rolled encoder and the mirror
-// decoder honest: one representative event per kind must survive
-// encode→decode byte-exactly (reflect.DeepEqual on the struct).
-func TestEventJSONRoundTrip(t *testing.T) {
-	events := []Event{
+// sampleEvents returns one representative event per kind, plus a
+// minimal one.
+func sampleEvents() []Event {
+	return []Event{
 		{
 			Seq: 1, At: 43*time.Minute + 1500*time.Millisecond, Kind: KindControl, Verb: VerbDecide,
 			App: "web", Detail: `scale out 6→7: PLO err +0.42 with "ceiling" saturated`,
@@ -59,7 +58,13 @@ func TestEventJSONRoundTrip(t *testing.T) {
 		// Minimal event: nothing but the header survives.
 		{Seq: 8, At: 0, Kind: KindSched, Verb: VerbEvict},
 	}
-	for i, ev := range events {
+}
+
+// TestEventJSONRoundTrip keeps the hand-rolled encoder and the mirror
+// decoder honest: one representative event per kind must survive
+// encode→decode byte-exactly (reflect.DeepEqual on the struct).
+func TestEventJSONRoundTrip(t *testing.T) {
+	for i, ev := range sampleEvents() {
 		line := AppendJSON(nil, &ev)
 		got, err := ParseEvent(line)
 		if err != nil {

@@ -13,6 +13,12 @@
 // alloc gate enforce this). Record and Snapshot are safe for concurrent
 // use — the HTTP debug endpoints read the ring while a paused simulation
 // owns it.
+//
+// Sinks receive each event or span as a binary record — the bytes the
+// checkpoint stores for it — in a framed stream (stream.go). JSONL is a
+// rendering at the edge: JSONLWriter and RenderJSONL turn a stream into
+// it, WriteJSONL renders the ring for /debug/trace, and ReadTrace and
+// ReadSpans read either form.
 package obs
 
 import (
@@ -179,7 +185,8 @@ type Event struct {
 const DefaultCapacity = 16384
 
 // Tracer records events into a fixed-capacity ring, optionally teeing
-// each event to a JSONL sink. The zero value (and Nop) is a disabled
+// each event to a sink as a binary record (JSONL is rendered from those
+// at the edge: JSONLWriter). The zero value (and Nop) is a disabled
 // tracer whose Record is a no-op; Enabled never changes after
 // construction, so call sites may cache it.
 //
@@ -196,9 +203,7 @@ type Tracer struct {
 	seq     uint64
 	dropped uint64
 
-	sink    io.Writer
-	sinkErr error
-	encBuf  []byte
+	sink sink
 
 	// The span layer (span.go): its own ring, sequence and sink so span
 	// emission never perturbs the event stream's bytes.
@@ -207,9 +212,7 @@ type Tracer struct {
 	spanWrapped bool
 	spanSeq     uint64
 	spanDropped uint64
-	spanSink    io.Writer
-	spanSinkErr error
-	spanEncBuf  []byte
+	spanSink    sink
 
 	// Latency histograms with span exemplars (hist.go).
 	lat   [NumLatencyKinds]LatencyHistogram
@@ -248,7 +251,7 @@ func (t *Tracer) Enabled() bool { return t != nil && t.enabled }
 
 // Record stores one event, assigning its sequence number. On a full ring
 // the oldest event is dropped. When a sink is installed the event is
-// also appended to it as one JSON line; the first sink error latches
+// also written to it as one binary record; the first sink error latches
 // (see SinkErr) and stops further sink writes.
 func (t *Tracer) Record(ev Event) {
 	if !t.Enabled() {
@@ -287,24 +290,23 @@ func (t *Tracer) recordLocked(ev Event) {
 		t.next = 0
 		t.wrapped = true
 	}
-	if t.sink != nil && t.sinkErr == nil {
-		t.encBuf = AppendJSON(t.encBuf[:0], &ev)
-		t.encBuf = append(t.encBuf, '\n')
-		if _, err := t.sink.Write(t.encBuf); err != nil {
-			t.sinkErr = err
-		}
+	if t.sink.live() {
+		saveEvent(t.sink.begin(), &ev)
+		t.sink.end()
 	}
 }
 
 // SetSink installs a writer that receives every subsequent event as one
-// JSON line. Callers own buffering and closing; pass nil to detach.
+// binary record of a trace stream (see stream.go), in one Write per
+// event; the first Write after SetSink carries the stream header too.
+// Wrap w in a JSONLWriter to receive JSONL instead. Callers own
+// buffering and closing; pass nil to detach.
 func (t *Tracer) SetSink(w io.Writer) {
 	if !t.Enabled() {
 		return
 	}
 	t.mu.Lock()
-	t.sink = w
-	t.sinkErr = nil
+	t.sink.set(w, streamEvents)
 	t.mu.Unlock()
 }
 
@@ -315,7 +317,7 @@ func (t *Tracer) SinkErr() error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.sinkErr
+	return t.sink.err
 }
 
 // Events returns the total number of events recorded (including any the

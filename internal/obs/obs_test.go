@@ -125,16 +125,22 @@ func TestTracerSink(t *testing.T) {
 	if err := tr.SinkErr(); err != nil {
 		t.Fatalf("sink error: %v", err)
 	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	var jsonl bytes.Buffer
+	if err := RenderJSONL(&jsonl, bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatalf("RenderJSONL over sink output: %v", err)
+	}
+	lines := strings.Split(strings.TrimSpace(jsonl.String()), "\n")
 	if len(lines) != 2 {
 		t.Fatalf("sink holds %d lines, want 2", len(lines))
 	}
-	evs, err := ReadTrace(strings.NewReader(buf.String()))
-	if err != nil {
-		t.Fatalf("ReadTrace over sink output: %v", err)
-	}
-	if len(evs) != 2 || evs[0].Object != "web-1" || evs[1].SLI != 0.42 {
-		t.Fatalf("decoded sink events %+v do not match recorded", evs)
+	for _, form := range []*bytes.Buffer{&buf, &jsonl} {
+		evs, err := ReadTrace(bytes.NewReader(form.Bytes()))
+		if err != nil {
+			t.Fatalf("ReadTrace over sink output: %v", err)
+		}
+		if len(evs) != 2 || evs[0].Object != "web-1" || evs[1].SLI != 0.42 {
+			t.Fatalf("decoded sink events %+v do not match recorded", evs)
+		}
 	}
 }
 
@@ -230,26 +236,6 @@ func BenchmarkRecord(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tr.Record(ev)
-	}
-}
-
-func BenchmarkRecordWithSink(b *testing.B) {
-	tr := New(DefaultCapacity)
-	var sink bytes.Buffer
-	sink.Grow(64 << 20)
-	tr.SetSink(&sink)
-	ev := Event{
-		At: time.Minute, Kind: KindControl, Verb: VerbDecide, App: "web",
-		PerfErr: 0.5, SLI: 0.1, Objective: 0.1, Offered: 300,
-		Replicas: 3, Ready: 3, NewReplicas: 4, HasCtrl: true,
-		Ctrl: ControlTrace{Stage: "grow", UtilTarget: 0.7},
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if i%100000 == 0 {
-			sink.Reset()
-		}
 		tr.Record(ev)
 	}
 }

@@ -126,7 +126,7 @@ var traceMeters = [...]struct {
 	{"evolve_trace_spans_total", typCounter},
 	{"evolve_trace_span_dropped_total", typCounter},
 	// Sink health: silent trace loss as a scrapeable gauge (1 = the
-	// JSONL tee latched an error and stopped writing).
+	// sink tee latched an error and stopped writing).
 	{"evolve_trace_sink_error", typGauge},
 	{"evolve_trace_span_sink_error", typGauge},
 }
@@ -161,7 +161,7 @@ func (s *traceSnap) take(tr *Tracer) {
 	}
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	s.meters = [len(traceMeters)]uint64{tr.seq, tr.dropped, tr.spanSeq, tr.spanDropped, flag(tr.sinkErr != nil), flag(tr.spanSinkErr != nil)}
+	s.meters = [len(traceMeters)]uint64{tr.seq, tr.dropped, tr.spanSeq, tr.spanDropped, flag(tr.sink.err != nil), flag(tr.spanSink.err != nil)}
 	for k := range tr.lat {
 		s.add(&tr.lat[k])
 	}

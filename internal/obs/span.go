@@ -10,9 +10,9 @@ import (
 // interval of virtual time with a parent link, recorded only once its
 // end is known — the simulation is deterministic, so a bind already
 // knows when the pod will be ready, and a span never exists in a
-// half-open state. Spans live in their own ring with their own JSONL
-// sink so the event stream's byte layout (which the determinism suite
-// fingerprints) is untouched by span emission.
+// half-open state. Spans live in their own ring with their own sink
+// stream so the event stream's bytes (which the determinism suite
+// fingerprints) are untouched by span emission.
 //
 // Shard attribution: Span.Shard names the kernel shard that owns the
 // span's subject (-1 when unsharded or not shard-local). It is the ONE
@@ -117,8 +117,9 @@ func (s *Span) Duration() time.Duration { return s.End - s.Start }
 
 // RecordSpan stores one span, assigning and returning its ID (0 when
 // the tracer is disabled). On a full ring the oldest span is dropped.
-// When a span sink is installed the span is also appended as one JSON
-// line; the first sink error latches (SpanSinkErr) and stops the tee.
+// When a span sink is installed the span is also written to it as one
+// binary record; the first sink error latches (SpanSinkErr) and stops
+// the tee.
 func (t *Tracer) RecordSpan(sp Span) uint64 {
 	if !t.Enabled() {
 		return 0
@@ -135,12 +136,9 @@ func (t *Tracer) RecordSpan(sp Span) uint64 {
 		t.spanNext = 0
 		t.spanWrapped = true
 	}
-	if t.spanSink != nil && t.spanSinkErr == nil {
-		t.spanEncBuf = AppendSpanJSON(t.spanEncBuf[:0], &sp)
-		t.spanEncBuf = append(t.spanEncBuf, '\n')
-		if _, err := t.spanSink.Write(t.spanEncBuf); err != nil {
-			t.spanSinkErr = err
-		}
+	if t.spanSink.live() {
+		saveSpan(t.spanSink.begin(), &sp)
+		t.spanSink.end()
 	}
 	id := t.spanSeq
 	t.mu.Unlock()
@@ -148,14 +146,14 @@ func (t *Tracer) RecordSpan(sp Span) uint64 {
 }
 
 // SetSpanSink installs a writer that receives every subsequent span as
-// one JSON line. Callers own buffering and closing; pass nil to detach.
+// one binary record of a span stream, as SetSink does events. Callers
+// own buffering and closing; pass nil to detach.
 func (t *Tracer) SetSpanSink(w io.Writer) {
 	if !t.Enabled() {
 		return
 	}
 	t.mu.Lock()
-	t.spanSink = w
-	t.spanSinkErr = nil
+	t.spanSink.set(w, streamSpans)
 	t.mu.Unlock()
 }
 
@@ -166,7 +164,7 @@ func (t *Tracer) SpanSinkErr() error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.spanSinkErr
+	return t.spanSink.err
 }
 
 // Spans returns the total number of spans recorded (including any the

@@ -1,13 +1,10 @@
 package obs
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
-	"time"
 )
 
 // JSON codec for spans, mirroring the event codec (json.go): hand-rolled
@@ -50,17 +47,17 @@ func AppendSpanJSON(buf []byte, sp *Span) []byte {
 }
 
 type jsonSpan struct {
-	ID     uint64  `json:"id"`
-	Parent uint64  `json:"parent"`
-	Kind   string  `json:"kind"`
-	T0     float64 `json:"t0"`
-	T1     float64 `json:"t1"`
-	App    string  `json:"app"`
-	Object string  `json:"object"`
-	Node   string  `json:"node"`
-	Detail string  `json:"detail"`
-	Shard  *int32  `json:"shard"`
-	WallNs int64   `json:"wall_ns"`
+	ID     uint64    `json:"id"`
+	Parent uint64    `json:"parent"`
+	Kind   string    `json:"kind"`
+	T0     jsonFloat `json:"t0"`
+	T1     jsonFloat `json:"t1"`
+	App    string    `json:"app"`
+	Object string    `json:"object"`
+	Node   string    `json:"node"`
+	Detail string    `json:"detail"`
+	Shard  *int32    `json:"shard"`
+	WallNs int64     `json:"wall_ns"`
 }
 
 // ParseSpan decodes one JSON line produced by AppendSpanJSON.
@@ -73,6 +70,14 @@ func ParseSpan(line []byte) (Span, error) {
 	if !ok {
 		return Span{}, fmt.Errorf("obs: unknown span kind %q", m.Kind)
 	}
+	start, err := seconds(m.T0)
+	if err != nil {
+		return Span{}, err
+	}
+	end, err := seconds(m.T1)
+	if err != nil {
+		return Span{}, err
+	}
 	sp := Span{
 		ID:     m.ID,
 		Parent: m.Parent,
@@ -82,38 +87,14 @@ func ParseSpan(line []byte) (Span, error) {
 		Node:   m.Node,
 		Detail: m.Detail,
 		Shard:  -1,
-		Start:  time.Duration(math.Round(m.T0 * float64(time.Second))),
-		End:    time.Duration(math.Round(m.T1 * float64(time.Second))),
+		Start:  start,
+		End:    end,
 		WallNs: m.WallNs,
 	}
 	if m.Shard != nil {
 		sp.Shard = *m.Shard
 	}
 	return sp, nil
-}
-
-// ReadSpans decodes a whole JSONL span stream, skipping blank lines.
-func ReadSpans(r io.Reader) ([]Span, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 4<<20)
-	var out []Span
-	line := 0
-	for sc.Scan() {
-		line++
-		b := sc.Bytes()
-		if len(b) == 0 {
-			continue
-		}
-		sp, err := ParseSpan(b)
-		if err != nil {
-			return nil, fmt.Errorf("obs: line %d: %w", line, err)
-		}
-		out = append(out, sp)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // WriteSpansJSONL writes spans as one JSON object per line.
